@@ -14,6 +14,7 @@ from .solvers import (
     SolverOptions,
     SolverReport,
     TheoreticalLambdaParams,
+    fit_directions,
     fit_grouped,
     fit_lpd,
     fit_single_lasso,
@@ -32,9 +33,10 @@ from .classify import (
     build_model,
     evaluate,
     naive_bayes_fit,
-    naive_bayes_predict,
     predict,
+    predict_batch,
     pseudoinverse_lda_fit,
+    scores,
 )
 from .select import (
     CvResult,

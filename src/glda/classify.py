@@ -6,7 +6,9 @@ for each contrast direction b_k,
     h_{k+1} = -(x - (m_1 + m_{k+1})/2)' b_k - log(pi_1 / pi_{k+1}).
 
 The argmax over scores reproduces the pairwise linear rules; ties go to the
-larger class index.
+larger class index. The naive-Bayes baseline scores each class by its
+Gaussian log-likelihood; ``scores``, ``predict``, ``predict_batch`` and
+``evaluate`` accept either model kind.
 """
 
 import math
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ClassSummaries, Dataset, DirectionSet, PooledScatter
+from .model import ClassSummaries, Dataset, DirectionSet, PooledScatter, summarize
 
 __all__ = [
     "ClassifierModel",
@@ -22,10 +24,10 @@ __all__ = [
     "NaiveBayesModel",
     "build_model",
     "predict",
+    "predict_batch",
     "scores",
     "evaluate",
     "naive_bayes_fit",
-    "naive_bayes_predict",
     "pseudoinverse_lda_fit",
 ]
 
@@ -70,6 +72,14 @@ class ClassifierModel:
     def p(self):
         return self.means.shape[1]
 
+    def _scores(self, X):
+        B = self.directions.matrix
+        mid = (self.means[0] + self.means[1:]) / 2.0  # K' x p
+        h = np.zeros((X.shape[0], self.n_classes))
+        proj = X @ B - np.sum(mid * B.T, axis=1)
+        h[:, 1:] = -proj - np.log(self.priors[0] / self.priors[1:])
+        return h
+
 
 @dataclass(frozen=True)
 class PredictionReport:
@@ -89,42 +99,6 @@ def build_model(cs: ClassSummaries, ds: DirectionSet) -> ClassifierModel:
     if ds.n_directions != cs.n_classes - 1 or ds.p != cs.p:
         raise ValueError("directions do not match the class summaries")
     return ClassifierModel(directions=ds, means=cs.means, priors=cs.priors)
-
-
-def scores(m: ClassifierModel, X) -> np.ndarray:
-    """Per-class scores for each row of X (base class scored 0)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != m.p:
-        raise ValueError("feature dimension does not match the model")
-    B = m.directions.matrix
-    mid = (m.means[0] + m.means[1:]) / 2.0  # K' x p
-    h = np.zeros((X.shape[0], m.n_classes))
-    proj = X @ B - np.sum(mid * B.T, axis=1)
-    h[:, 1:] = -proj - np.log(m.priors[0] / m.priors[1:])
-    return h
-
-
-def predict(m: ClassifierModel, x) -> int:
-    """Predicted 1-based label for a single feature vector."""
-    h = scores(m, np.asarray(x, dtype=float).reshape(1, -1))
-    return int(_argmax_last(h)[0])
-
-
-def predict_batch(m: ClassifierModel, X) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] == 0:
-        raise ValueError("empty dataset")
-    return _argmax_last(scores(m, X))
-
-
-def evaluate(m: ClassifierModel, test: Dataset) -> PredictionReport:
-    """Predict every test sample and report the misclassification fraction."""
-    if test.p != m.p:
-        raise ValueError("feature dimension does not match the model")
-    h = scores(m, test.features)
-    labels = _argmax_last(h)
-    err = float(np.mean(labels != test.labels))
-    return PredictionReport(labels=labels, scores=h, error_rate=err)
 
 
 @dataclass(frozen=True)
@@ -151,49 +125,55 @@ class NaiveBayesModel:
     def p(self):
         return self.means.shape[1]
 
+    def _scores(self, X):
+        out = np.zeros((X.shape[0], self.n_classes))
+        for k in range(self.n_classes):
+            diff = X - self.means[k]
+            out[:, k] = (
+                math.log(self.priors[k])
+                - 0.5 * np.sum(np.log(2.0 * np.pi * self.variances[k]))
+                - 0.5 * np.sum(diff * diff / self.variances[k], axis=1)
+            )
+        return out
+
 
 def naive_bayes_fit(d: Dataset) -> NaiveBayesModel:
     """Per-class feature means and (floored) variances plus class priors."""
-    K = d.n_classes
-    means = np.zeros((K, d.p))
-    variances = np.zeros((K, d.p))
-    counts = np.zeros(K)
-    for k in range(1, K + 1):
-        idx = d.class_indices(k)
-        if idx.size == 0:
-            raise ValueError(f"class {k} has no samples")
-        Xk = d.features[idx]
-        means[k - 1] = Xk.mean(axis=0)
-        variances[k - 1] = np.maximum(Xk.var(axis=0), _VAR_FLOOR)
-        counts[k - 1] = idx.size
-    return NaiveBayesModel(means=means, variances=variances, priors=counts / counts.sum())
+    cs = summarize(d)
+    variances = np.vstack([
+        np.maximum(d.features[d.class_indices(k)].var(axis=0), _VAR_FLOOR)
+        for k in range(1, cs.n_classes + 1)
+    ])
+    return NaiveBayesModel(means=cs.means, variances=variances, priors=cs.priors)
 
 
-def naive_bayes_scores(m: NaiveBayesModel, X) -> np.ndarray:
+def scores(m, X) -> np.ndarray:
+    """Per-class scores for each row of X, for either model kind."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != m.p:
         raise ValueError("feature dimension does not match the model")
-    out = np.zeros((X.shape[0], m.n_classes))
-    for k in range(m.n_classes):
-        diff = X - m.means[k]
-        out[:, k] = (
-            math.log(m.priors[k])
-            - 0.5 * np.sum(np.log(2.0 * np.pi * m.variances[k]))
-            - 0.5 * np.sum(diff * diff / m.variances[k], axis=1)
-        )
-    return out
+    return m._scores(X)
 
 
-def naive_bayes_predict(m: NaiveBayesModel, x) -> int:
-    h = naive_bayes_scores(m, np.asarray(x, dtype=float).reshape(1, -1))
+def predict(m, x) -> int:
+    """Predicted 1-based label for a single feature vector."""
+    h = scores(m, np.asarray(x, dtype=float).reshape(1, -1))
     return int(_argmax_last(h)[0])
 
 
-def naive_bayes_predict_batch(m: NaiveBayesModel, X) -> np.ndarray:
+def predict_batch(m, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] == 0:
         raise ValueError("empty dataset")
-    return _argmax_last(naive_bayes_scores(m, X))
+    return _argmax_last(scores(m, X))
+
+
+def evaluate(m, test: Dataset) -> PredictionReport:
+    """Predict every test sample and report the misclassification fraction."""
+    h = scores(m, test.features)
+    labels = _argmax_last(h)
+    err = float(np.mean(labels != test.labels))
+    return PredictionReport(labels=labels, scores=h, error_rate=err)
 
 
 def pseudoinverse_lda_fit(S, cs: ClassSummaries) -> DirectionSet:

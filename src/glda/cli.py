@@ -17,11 +17,10 @@ from .classify import (
     NaiveBayesModel,
     build_model,
     naive_bayes_fit,
-    naive_bayes_predict_batch,
     predict_batch,
     pseudoinverse_lda_fit,
 )
-from .model import Dataset, DirectionSet, group_norms, pooled_scatter, summarize
+from .model import DirectionSet, group_norms, pooled_scatter, summarize
 from .select import kfold_cv, lambda_grid, lambda_max, support_metrics
 from .simulate import (
     CovarianceSummary,
@@ -33,13 +32,7 @@ from .simulate import (
     sim1_spec,
     sim2_spec,
 )
-from .solvers import (
-    LpInfeasibleError,
-    fit_grouped,
-    fit_lpd,
-    fit_single_lasso,
-    hard_threshold,
-)
+from .solvers import LpInfeasibleError, fit_directions, hard_threshold
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -55,15 +48,6 @@ class CommandError(Exception):
     def __init__(self, code, message):
         super().__init__(message)
         self.code = code
-
-
-def _load_dataset(path) -> Dataset:
-    try:
-        return io.read_dataset_csv(path)
-    except FileNotFoundError:
-        raise CommandError(EXIT_PARSE, f"cannot read {path}") from None
-    except (io.FormatError, ValueError) as exc:
-        raise CommandError(EXIT_PARSE, str(exc)) from None
 
 
 def _parse_grid(text):
@@ -84,51 +68,25 @@ def _grid_for(args, deltas):
     return lambda_grid(lambda_max(deltas), 50, 3.0)
 
 
-def _fit_directions(estimator, S, cs, lam, strict):
-    """Fit a DirectionSet with the chosen estimator; returns (ds, summary lines)."""
-    lines = []
-    if estimator == "grouped":
-        ds, rep = fit_grouped(S, cs.deltas, lam)
-        lines.append(
-            f"solver grouped iterations {rep.iterations} converged {str(rep.converged).lower()}"
-            f" kkt {rep.kkt_residual:.3e}"
-        )
-        if strict and not rep.converged:
-            raise CommandError(EXIT_NOCONV, "grouped solver did not converge")
-        return ds, lines
-    if estimator == "single":
-        cols = []
-        for k, delta in enumerate(cs.deltas):
-            beta, rep = fit_single_lasso(S, delta, lam)
-            cols.append(beta)
-            lines.append(
-                f"solver single direction {k + 1} iterations {rep.iterations}"
-                f" converged {str(rep.converged).lower()} kkt {rep.kkt_residual:.3e}"
-            )
-            if strict and not rep.converged:
-                raise CommandError(EXIT_NOCONV, f"single-direction solver {k + 1} did not converge")
-        return DirectionSet(np.column_stack(cols)), lines
-    if estimator == "lpd":
-        cols = []
-        for k, delta in enumerate(cs.deltas):
-            try:
-                cols.append(fit_lpd(S, delta, lam))
-            except LpInfeasibleError as exc:
-                raise CommandError(EXIT_INFEASIBLE, str(exc)) from None
-            lines.append(f"solver lpd direction {k + 1} done")
-        return DirectionSet(np.column_stack(cols)), lines
-    raise CommandError(EXIT_PARSE, f"estimator {estimator} does not produce directions")
+def _check_converged(estimator, reports, strict):
+    """Under --strict, a proximal-gradient fit that did not converge is an error."""
+    if not strict:
+        return
+    for k, rep in enumerate(reports):
+        if not rep.converged:
+            which = "grouped solver" if estimator == "grouped" else f"single-direction solver {k + 1}"
+            raise CommandError(EXIT_NOCONV, f"{which} did not converge")
 
 
 def cmd_fit(args):
-    data = _load_dataset(args.data)
-    cs = summarize(data)
+    data = io.read_dataset_csv(args.data)
     if args.estimator == "nbayes":
         model = naive_bayes_fit(data)
         io.write_model_file(args.out, model, "nbayes")
         print(f"estimator nbayes classes {model.n_classes} features {model.p}")
         print(f"written {args.out}")
         return EXIT_OK
+    cs = summarize(data)
     S = pooled_scatter(data, cs)
     if args.estimator == "pinv":
         ds = pseudoinverse_lda_fit(S, cs)
@@ -138,7 +96,18 @@ def cmd_fit(args):
             raise CommandError(EXIT_PARSE, f"--lambda is required for estimator {args.estimator}")
         if args.lam < 0 or (args.estimator == "lpd" and args.lam == 0):
             raise CommandError(EXIT_PARSE, "bad --lambda value")
-        ds, lines = _fit_directions(args.estimator, S, cs, args.lam, args.strict)
+        ds, reports = fit_directions(args.estimator, S, cs.deltas, args.lam)
+        _check_converged(args.estimator, reports, args.strict)
+        if args.estimator == "lpd":
+            lines = [f"solver lpd direction {k + 1} done" for k in range(ds.n_directions)]
+        else:
+            lines = []
+            for k, rep in enumerate(reports):
+                which = f" direction {k + 1}" if args.estimator == "single" else ""
+                lines.append(
+                    f"solver {args.estimator}{which} iterations {rep.iterations}"
+                    f" converged {str(rep.converged).lower()} kkt {rep.kkt_residual:.3e}"
+                )
     if args.zeta > 0:
         ds = hard_threshold(ds, args.zeta)
     model = build_model(cs, ds)
@@ -151,7 +120,7 @@ def cmd_fit(args):
 
 
 def cmd_cv(args):
-    data = _load_dataset(args.data)
+    data = io.read_dataset_csv(args.data)
     cs = summarize(data)
     if int(cs.counts.min()) < args.folds:
         raise CommandError(EXIT_SMALL_CLASS, "a class has fewer samples than the fold count")
@@ -168,24 +137,11 @@ def cmd_cv(args):
 
 
 def cmd_predict(args):
-    try:
-        model, _ = io.read_model_file(args.model)
-    except FileNotFoundError:
-        raise CommandError(EXIT_PARSE, f"cannot read {args.model}") from None
-    except io.FormatError as exc:
-        raise CommandError(EXIT_PARSE, str(exc)) from None
-    try:
-        X, labels = io.read_feature_csv(args.data)
-    except FileNotFoundError:
-        raise CommandError(EXIT_PARSE, f"cannot read {args.data}") from None
-    except io.FormatError as exc:
-        raise CommandError(EXIT_PARSE, str(exc)) from None
+    model, _ = io.read_model_file(args.model)
+    X, labels = io.read_feature_csv(args.data)
     if X.shape[1] != model.p:
         raise CommandError(EXIT_DIM, "model and data feature dimensions differ")
-    if isinstance(model, NaiveBayesModel):
-        pred = naive_bayes_predict_batch(model, X)
-    else:
-        pred = predict_batch(model, X)
+    pred = predict_batch(model, X)
     io.atomic_write_text(args.out, "label\n" + "\n".join(str(int(v)) for v in pred) + "\n")
     if labels is not None:
         err = float(np.mean(pred != labels))
@@ -195,13 +151,14 @@ def cmd_predict(args):
 
 
 def cmd_path(args):
-    data = _load_dataset(args.data)
+    data = io.read_dataset_csv(args.data)
     cs = summarize(data)
     S = pooled_scatter(data, cs)
     grid = _grid_for(args, cs.deltas)
     lines = ["lambda,direction,feature,coefficient,group_norm"]
     for lam in grid.values:
-        ds, _ = _fit_directions(args.estimator, S, cs, float(lam), args.strict)
+        ds, reports = fit_directions(args.estimator, S, cs.deltas, float(lam))
+        _check_converged(args.estimator, reports, args.strict)
         norms = group_norms(ds)
         for k in range(ds.n_directions):
             col = ds.column(k)
@@ -250,21 +207,11 @@ def cmd_simulate(args):
 
 
 def cmd_diagnose(args):
-    try:
-        model, _ = io.read_model_file(args.model)
-    except FileNotFoundError:
-        raise CommandError(EXIT_PARSE, f"cannot read {args.model}") from None
-    except io.FormatError as exc:
-        raise CommandError(EXIT_PARSE, str(exc)) from None
+    model, _ = io.read_model_file(args.model)
     if isinstance(model, NaiveBayesModel):
         raise CommandError(EXIT_PARSE, "diagnose needs a direction-based model")
-    try:
-        truth = io.read_truth_file(args.truth)
-    except FileNotFoundError:
-        raise CommandError(EXIT_PARSE, f"cannot read {args.truth}") from None
-    except io.FormatError as exc:
-        raise CommandError(EXIT_PARSE, str(exc)) from None
-    data = _load_dataset(args.data)
+    truth = io.read_truth_file(args.truth)
+    data = io.read_dataset_csv(args.data)
     B_true = DirectionSet(np.asarray(truth["true_directions"], dtype=float))
     est = model.directions
     if est.matrix.shape != B_true.matrix.shape or data.p != est.p:
@@ -377,7 +324,10 @@ def main(argv=None) -> int:
     except LpInfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (io.FormatError, FileNotFoundError, ValueError) as exc:
+    except FileNotFoundError as exc:
+        print(f"error: cannot open {exc.filename}", file=sys.stderr)
+        return EXIT_PARSE
+    except (io.FormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -48,7 +48,11 @@ def _vec(v) -> str:
 
 def atomic_write_text(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
+    except FileNotFoundError as exc:
+        # name the target the caller gave, not the temp file
+        raise FileNotFoundError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)
@@ -114,23 +118,20 @@ def read_dataset_csv(path) -> Dataset:
 
 def write_model_file(path, model, estimator: str) -> None:
     """Serialize a fitted classifier (direction-based or naive Bayes)."""
-    lines = ["glda-model 1"]
     if isinstance(model, NaiveBayesModel):
-        lines.append(f"kind nbayes K {model.n_classes} p {model.p} estimator {estimator}")
-        lines.append("priors")
-        lines.append(_vec(model.priors))
-        lines.append("means")
-        lines.extend(_vec(row) for row in model.means)
-        lines.append("variances")
-        lines.extend(_vec(row) for row in model.variances)
+        kind, section, rows = "nbayes", "variances", model.variances
     else:
-        lines.append(f"kind lda K {model.n_classes} p {model.p} estimator {estimator}")
-        lines.append("priors")
-        lines.append(_vec(model.priors))
-        lines.append("means")
-        lines.extend(_vec(row) for row in model.means)
-        lines.append("directions")
-        lines.extend(_vec(row) for row in model.directions.matrix)
+        kind, section, rows = "lda", "directions", model.directions.matrix
+    lines = [
+        "glda-model 1",
+        f"kind {kind} K {model.n_classes} p {model.p} estimator {estimator}",
+        "priors",
+        _vec(model.priors),
+        "means",
+        *(_vec(row) for row in model.means),
+        section,
+        *(_vec(row) for row in rows),
+    ]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -141,7 +142,7 @@ def read_model_file(path):
     lines = [ln for ln in lines if ln.strip()]
     if not lines or lines[0] != "glda-model 1":
         raise FormatError(f"{path}: not a model file")
-    head = lines[1].split()
+    head = lines[1].split() if len(lines) > 1 else []
     if len(head) != 8 or head[0] != "kind" or head[2] != "K" or head[4] != "p" or head[6] != "estimator":
         raise FormatError(f"{path}: malformed model header")
     kind, K, p, estimator = head[1], int(head[3]), int(head[5]), head[7]
@@ -172,6 +173,8 @@ def read_model_file(path):
     if kind == "nbayes":
         expect("variances")
         variances = take(K)
+        if variances.shape != (K, p):
+            raise FormatError(f"{path}: wrong variance dimension")
         return NaiveBayesModel(means=means, variances=variances, priors=priors), estimator
     if kind != "lda":
         raise FormatError(f"{path}: unknown model kind '{kind}'")

@@ -5,15 +5,17 @@ Three routes to the discriminant directions:
 * ``fit_grouped``   - joint estimator coupling all K-1 directions through a
   per-feature (row-wise) Euclidean norm penalty, solved by accelerated
   proximal gradient with function-value adaptive restart.
-* ``fit_single_lasso`` - one direction at a time under an l1 penalty, same
-  accelerated scheme with a scalar soft-threshold prox.
+* ``fit_single_lasso`` - one direction at a time under an l1 penalty: the
+  grouped problem with a single direction, so one-entry groups.
 * ``fit_lpd``       - one direction at a time, minimum l1 norm subject to an
   l-infinity residual box, solved as a linear program by the internal
   dense simplex.
 
-Plus the supporting pieces: the group proximal operator, a power-iteration
-Lipschitz bound, hard thresholding for support recovery, the theory-driven
-penalty level, KKT diagnostics and the support-restricted oracle fit.
+``fit_directions`` picks one of the three by name and fits all K-1
+directions. Plus the supporting pieces: the group proximal operator, a
+power-iteration Lipschitz bound, hard thresholding for support recovery,
+the theory-driven penalty level, KKT diagnostics and the
+support-restricted oracle fit.
 """
 
 import math
@@ -33,6 +35,7 @@ __all__ = [
     "fit_grouped",
     "fit_single_lasso",
     "fit_lpd",
+    "fit_directions",
     "hard_threshold",
     "theoretical_lambda",
     "pi_bar_from_priors",
@@ -194,19 +197,8 @@ def _prox_rows(Z, thr):
     return Z * fac[:, None]
 
 
-def fit_grouped(S, deltas, lambdas, opts=None):
-    """Jointly fit all K-1 directions under row-wise group penalties.
-
-    Minimizes sum_k 0.5 b_k' S b_k - delta_k' b_k + sum_j lam_j ||row_j||
-    over the p x (K-1) direction matrix. Accelerated proximal gradient
-    with momentum t_{m+1} = (1 + sqrt(1 + 4 t_m^2)) / 2; on an objective
-    increase the momentum is reset and the step recomputed from the last
-    iterate, which keeps the recorded objective trace monotone.
-
-    Returns (DirectionSet, SolverReport). A run that exhausts max_iter is
-    returned with converged=False rather than raising.
-    """
-    opts = opts or SolverOptions()
+def _grouped_problem(S, deltas, lambdas):
+    """Validated (scatter matrix, p x K' contrast matrix, per-feature penalties)."""
     Smat = _scatter_matrix(S)
     p = Smat.shape[0]
     D = np.asarray(deltas, dtype=float)
@@ -218,12 +210,17 @@ def fit_grouped(S, deltas, lambdas, opts=None):
     lam = np.broadcast_to(np.asarray(lambdas, dtype=float), (p,)).astype(float)
     if np.any(lam < 0):
         raise ValueError("lambdas must be nonnegative")
+    return Smat, G, lam
 
+
+def _proximal_gradient(Smat, G, lam, opts):
+    """Accelerated proximal gradient on the p x K' grouped problem.
+
+    Returns the p x K' solution and its SolverReport.
+    """
     scale = max(float(np.abs(G).max(initial=0.0)), float(lam.max(initial=0.0)))
     if scale == 0.0:
-        X = np.zeros_like(G)
-        report = SolverReport(0, np.zeros(1), 0.0, True)
-        return DirectionSet(X), report
+        return np.zeros_like(G), SolverReport(0, np.zeros(1), 0.0, True)
     Gs = G / scale
     ls = lam / scale
 
@@ -273,95 +270,34 @@ def fit_grouped(S, deltas, lambdas, opts=None):
         kkt_residual=kkt_scaled * scale,
         converged=converged,
     )
-    return DirectionSet(x * scale), report
+    return x * scale, report
 
 
-def _lasso_objective(Smat, x, g, lam):
-    return 0.5 * float(x @ (Smat @ x)) - float(g @ x) + lam * float(np.abs(x).sum())
+def fit_grouped(S, deltas, lambdas, opts=None):
+    """Jointly fit all K-1 directions under row-wise group penalties.
 
+    Minimizes sum_k 0.5 b_k' S b_k - delta_k' b_k + sum_j lam_j ||row_j||
+    over the p x (K-1) direction matrix. Accelerated proximal gradient
+    with momentum t_{m+1} = (1 + sqrt(1 + 4 t_m^2)) / 2; on an objective
+    increase the momentum is reset and the step recomputed from the last
+    iterate, which keeps the recorded objective trace monotone.
 
-def _lasso_kkt(Smat, x, g, lam):
-    r = Smat @ x - g
-    out = np.maximum(np.abs(r) - lam, 0.0)
-    active = x != 0
-    out[active] = np.abs(r[active] + lam * np.sign(x[active]))
-    return float(out.max(initial=0.0))
+    Returns (DirectionSet, SolverReport). A run that exhausts max_iter is
+    returned with converged=False rather than raising.
+    """
+    X, report = _proximal_gradient(*_grouped_problem(S, deltas, lambdas), opts or SolverOptions())
+    return DirectionSet(X), report
 
 
 def fit_single_lasso(S, delta, lam, opts=None):
     """Fit one direction: minimize 0.5 b'Sb - delta'b + lam |b|_1.
 
-    Same accelerated scheme as the grouped fit but specialized to a single
-    vector with the scalar soft-threshold prox. Returns (vector, report).
+    This is the grouped problem with a single direction, whose row norms
+    are |b_j|. Returns (vector, report).
     """
-    opts = opts or SolverOptions()
-    Smat = _scatter_matrix(S)
-    p = Smat.shape[0]
-    g = np.asarray(delta, dtype=float).reshape(-1)
-    if g.size != p:
-        raise ValueError("delta length must match the scatter dimension")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-
-    scale = max(float(np.abs(g).max(initial=0.0)), float(lam))
-    if scale == 0.0:
-        return np.zeros(p), SolverReport(0, np.zeros(1), 0.0, True)
-    gs = g / scale
-    lamn = lam / scale
-
-    L = lipschitz_upper(Smat, boost=opts.lipschitz_boost)
-    kkt_exit = _kkt_exit(opts)
-    thr = lamn / L
-    x = np.zeros(p)
-    y = x
-    t = 1.0
-    fx = _lasso_objective(Smat, x, gs, lamn)
-    trace = [fx]
-    stall = 0
-    converged = False
-    iterations = 0
-
-    def _step(point):
-        z = point - (Smat @ point - gs) / L
-        az = np.abs(z)
-        return np.sign(z) * np.where(az > thr * (1.0 + 1e-12), az - thr, 0.0)
-
-    for m in range(1, opts.max_iter + 1):
-        iterations = m
-        xn = _step(y)
-        fn = _lasso_objective(Smat, xn, gs, lamn)
-        if opts.restart and fn > fx:
-            t = 1.0
-            guard = 0
-            while True:
-                xn = _step(x)
-                fn = _lasso_objective(Smat, xn, gs, lamn)
-                if fn <= fx + 1e-15 * max(1.0, abs(fx)) or guard >= 60:
-                    break
-                L *= 2.0
-                thr = lamn / L
-                guard += 1
-        tn = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        y = xn + ((t - 1.0) / tn) * (xn - x)
-        rel = abs(fn - fx) / max(1.0, abs(fx), abs(fn))
-        stall = stall + 1 if rel < opts.tol else 0
-        x, fx, t = xn, fn, tn
-        trace.append(fx)
-        if stall >= 2 or m % 25 == 0:
-            if _lasso_kkt(Smat, x, gs, lamn) <= kkt_exit:
-                converged = True
-                break
-            stall = 0
-
-    kkt_scaled = _lasso_kkt(Smat, x, gs, lamn)
-    converged = converged or kkt_scaled <= _KKT_CONVERGED
-    report = SolverReport(
-        iterations=iterations,
-        objective_trace=np.asarray(trace) * scale * scale,
-        kkt_residual=kkt_scaled * scale,
-        converged=converged,
-    )
-    return x * scale, report
+    D = np.asarray(delta, dtype=float).reshape(1, -1)
+    X, report = _proximal_gradient(*_grouped_problem(S, D, lam), opts or SolverOptions())
+    return X[:, 0], report
 
 
 def fit_lpd(S, delta, lam):
@@ -404,6 +340,27 @@ def fit_lpd(S, delta, lam):
     raise LpNumericalError("constraint activation failed to settle")
 
 
+def fit_directions(estimator, S, deltas, lam):
+    """Fit the K-1 directions with a direction estimator at penalty lam.
+
+    ``grouped`` is one joint fit; ``single`` and ``lpd`` fit each contrast
+    on its own. Returns (DirectionSet, reports) with one SolverReport per
+    proximal-gradient fit and none for ``lpd``. The fits use the default
+    SolverOptions. Raises LpInfeasibleError when an LPD direction is
+    infeasible.
+    """
+    if estimator == "grouped":
+        ds, report = fit_grouped(S, deltas, lam)
+        return ds, [report]
+    D = np.atleast_2d(np.asarray(deltas, dtype=float))
+    if estimator == "single":
+        fits = [fit_single_lasso(S, delta, lam) for delta in D]
+        return DirectionSet(np.column_stack([b for b, _ in fits])), [r for _, r in fits]
+    if estimator == "lpd":
+        return DirectionSet(np.column_stack([fit_lpd(S, delta, lam) for delta in D])), []
+    raise ValueError(f"estimator {estimator} does not produce directions")
+
+
 def hard_threshold(ds: DirectionSet, zeta: float) -> DirectionSet:
     """Zero every entry with magnitude strictly below zeta (boundary kept)."""
     if zeta < 0:
@@ -438,15 +395,9 @@ def kkt_residual(S, deltas, lambdas, ds: DirectionSet) -> float:
     For zero rows: (||row_j of (S Phi - D)|| - lam_j)_+ ; for active rows
     the norm of the full stationarity expression.
     """
-    Smat = _scatter_matrix(S)
-    p = Smat.shape[0]
-    D = np.asarray(deltas, dtype=float)
-    if D.ndim == 1:
-        D = D[None, :]
-    G = D.T
+    Smat, G, lam = _grouped_problem(S, deltas, lambdas)
     if ds.matrix.shape != G.shape:
         raise ValueError("direction set shape does not match deltas")
-    lam = np.broadcast_to(np.asarray(lambdas, dtype=float), (p,)).astype(float)
     return _grouped_kkt(Smat, ds.matrix, G, lam)
 
 

@@ -6,7 +6,6 @@ from glda.classify import (
     build_model,
     evaluate,
     naive_bayes_fit,
-    naive_bayes_predict,
     predict,
     predict_batch,
     pseudoinverse_lda_fit,
@@ -167,15 +166,15 @@ def test_naive_bayes_midpoint_rule():
     x2 = rng.normal(2.0, 1.0, size=(400, 1))
     d = Dataset(np.vstack([x1, x2]), np.concatenate([np.ones(400, int), np.full(400, 2)]))
     m = naive_bayes_fit(d)
-    assert naive_bayes_predict(m, [0.9]) == 1
-    assert naive_bayes_predict(m, [1.1]) == 2
+    assert predict(m, [0.9]) == 1
+    assert predict(m, [1.1]) == 2
 
 
 def test_naive_bayes_identical_classes_tie_break():
     X = np.array([[1.0], [2.0], [1.0], [2.0]])
     d = Dataset(X, np.array([1, 1, 2, 2]))
     m = naive_bayes_fit(d)
-    assert naive_bayes_predict(m, [1.5]) == 2
+    assert predict(m, [1.5]) == 2
 
 
 def test_naive_bayes_zero_variance_floored():
@@ -183,9 +182,20 @@ def test_naive_bayes_zero_variance_floored():
     d = Dataset(X, np.array([1, 1, 2, 2]))
     m = naive_bayes_fit(d)
     assert np.all(m.variances > 0)
-    assert np.isfinite(
-        naive_bayes_predict(m, [1.0, 5.5])
-    )
+    assert np.isfinite(predict(m, [1.0, 5.5]))
+
+
+def test_naive_bayes_through_shared_scoring_path():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(30, 3)) + np.repeat(np.eye(3), 10, axis=0)
+    d = Dataset(X, np.repeat([1, 2, 3], 10))
+    m = naive_bayes_fit(d)
+    labels = predict_batch(m, X)
+    assert labels.tolist() == [predict(m, x) for x in X]
+    report = evaluate(m, d)
+    assert np.array_equal(report.labels, labels)
+    assert np.array_equal(report.scores, scores(m, X))
+    assert report.error_rate == np.mean(labels != d.labels)
 
 
 # --- pseudo-inverse baseline ---------------------------------------------

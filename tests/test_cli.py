@@ -47,9 +47,22 @@ def test_fit_zero_model_at_lambda_max(tmp_path):
     assert np.all(loaded.directions.matrix == 0.0)
 
 
-def test_fit_missing_file_exit2(tmp_path):
-    assert main(["fit", str(tmp_path / "nope.csv"), "--lambda", "1",
+def test_fit_missing_file_exit2(tmp_path, capsys):
+    missing = tmp_path / "nope.csv"
+    assert main(["fit", str(missing), "--lambda", "1",
                  "--out", str(tmp_path / "m.txt")]) == 2
+    assert f"cannot open {missing}" in capsys.readouterr().err
+
+    train = tmp_path / "train.csv"
+    write_training_csv(train)
+    missing_model = tmp_path / "nope.txt"
+    assert main(["predict", str(missing_model), str(train),
+                 "--out", str(tmp_path / "p.csv")]) == 2
+    assert f"cannot open {missing_model}" in capsys.readouterr().err
+
+    out = tmp_path / "nodir" / "m.txt"
+    assert main(["fit", str(train), "--lambda", "0.5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot open {out}\n"
 
 
 def test_fit_requires_lambda(tmp_path):
@@ -176,6 +189,33 @@ def test_path_file_shape_and_zero_block(tmp_path):
     assert len(body) == 4 * 2 * 6  # grid x directions x features
     top = [r for r in body if float(r[0]) == pytest.approx(lmax)]
     assert all(float(r[3]) == 0.0 for r in top)
+
+
+@pytest.mark.parametrize("estimator", ["single", "lpd"])
+def test_path_matches_fit_directions(tmp_path, estimator):
+    from glda.model import pooled_scatter, summarize
+    from glda.select import lambda_grid, lambda_max
+    from glda.solvers import fit_directions
+
+    train = tmp_path / "train.csv"
+    d = write_training_csv(train)
+    cs = summarize(d)
+    S = pooled_scatter(d, cs)
+    lmax = lambda_max(cs.deltas)
+    out = tmp_path / "path.csv"
+    # every point of this grid is LPD-feasible on this data
+    assert main(["path", str(train), "--estimator", estimator,
+                 "--lambda-grid", f"{lmax!r}:4:1.0", "--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in out.read_text().strip().split("\n")[1:]]
+    grid = lambda_grid(lmax, 4, 1.0).values
+    assert len(rows) == grid.size * 2 * 6
+    for i, lam in enumerate(grid):
+        ds, _ = fit_directions(estimator, S, cs.deltas, float(lam))
+        block = rows[i * 12:(i + 1) * 12]
+        assert all(float(r[0]) == lam for r in block)
+        got = np.array([float(r[3]) for r in block]).reshape(2, 6).T
+        assert np.array_equal(got, ds.matrix)
+    assert np.any(got != 0.0)
 
 
 def test_fit_nbayes_predict_round_trip(tmp_path, capsys):

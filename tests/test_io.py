@@ -77,8 +77,25 @@ def test_nbayes_model_file_round_trip(tmp_path):
 
 def test_model_file_rejects_garbage(tmp_path):
     path = tmp_path / "junk.txt"
-    path.write_text("not a model\n")
-    with pytest.raises(io.FormatError):
+    for text in ("not a model\n", "glda-model 1\n"):
+        path.write_text(text)
+        with pytest.raises(io.FormatError):
+            io.read_model_file(path)
+
+
+def test_nbayes_model_file_rejects_wrong_variance_shape(tmp_path):
+    m = NaiveBayesModel(
+        means=np.zeros((2, 3)),
+        variances=np.ones((2, 3)),
+        priors=np.array([0.5, 0.5]),
+    )
+    path = tmp_path / "nb.txt"
+    io.write_model_file(path, m, "nbayes")
+    lines = path.read_text().split("\n")
+    at = lines.index("variances")
+    lines[at + 1:at + 3] = ["1", "1"]  # one variance per class instead of p
+    path.write_text("\n".join(lines))
+    with pytest.raises(io.FormatError, match="variance"):
         io.read_model_file(path)
 
 

@@ -9,6 +9,7 @@ from glda.solvers import (
     SolverOptions,
     SolverReport,
     TheoreticalLambdaParams,
+    fit_directions,
     fit_grouped,
     fit_lpd,
     fit_single_lasso,
@@ -311,6 +312,48 @@ def test_lpd_feasibility_and_dominance_over_feasible_points():
             beta = fit_lpd(S, delta, lam)
             assert np.abs(S @ beta - delta).max() <= lam + 1e-8
             assert np.abs(beta).sum() <= np.abs(other).sum() + 1e-8
+
+
+# --- fit_directions -----------------------------------------------------
+
+
+def _three_class_problem(seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(30, 5))
+    S = A.T @ A / 30 + 0.2 * np.eye(5)
+    return S, rng.normal(size=(2, 5))
+
+
+def test_fit_directions_grouped_is_one_joint_fit():
+    S, D = _three_class_problem(30)
+    ds, reports = fit_directions("grouped", S, D, 0.3)
+    ref, rep = fit_grouped(S, D, 0.3)
+    assert np.array_equal(ds.matrix, ref.matrix)
+    assert [r.iterations for r in reports] == [rep.iterations]
+
+
+def test_fit_directions_single_fits_each_column():
+    S, D = _three_class_problem(31)
+    ds, reports = fit_directions("single", S, D, 0.3)
+    assert ds.matrix.shape == (5, 2) and len(reports) == 2
+    for k in range(2):
+        beta, rep = fit_single_lasso(S, D[k], 0.3)
+        assert np.array_equal(ds.column(k), beta)
+        assert reports[k].iterations == rep.iterations
+
+
+def test_fit_directions_lpd_fits_each_column():
+    S, D = _three_class_problem(32)
+    ds, reports = fit_directions("lpd", S, D, 0.3)
+    assert reports == []
+    for k in range(2):
+        assert np.array_equal(ds.column(k), fit_lpd(S, D[k], 0.3))
+
+
+def test_fit_directions_rejects_other_estimators():
+    S, D = _three_class_problem(33)
+    with pytest.raises(ValueError, match="does not produce directions"):
+        fit_directions("pinv", S, D, 0.3)
 
 
 # --- hard_threshold -----------------------------------------------------
