@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ClassSummaries, Dataset, DirectionSet, PooledScatter, summarize
+from .model import ClassSummaries, Dataset, DirectionSet, scatter_matrix, summarize
 
 __all__ = [
     "ClassifierModel",
@@ -181,8 +181,7 @@ def pseudoinverse_lda_fit(S, cs: ClassSummaries) -> DirectionSet:
 
     Eigenvalues below 1e-10 times the largest are treated as zero.
     """
-    Smat = S.matrix if isinstance(S, PooledScatter) else np.asarray(S, dtype=float)
-    w, V = np.linalg.eigh(Smat)
+    w, V = np.linalg.eigh(scatter_matrix(S))
     cut = 1e-10 * max(w.max(initial=0.0), 0.0)
     inv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
     B = V @ (inv[:, None] * (V.T @ cs.deltas.T))

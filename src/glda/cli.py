@@ -94,8 +94,6 @@ def cmd_fit(args):
     else:
         if args.lam is None:
             raise CommandError(EXIT_PARSE, f"--lambda is required for estimator {args.estimator}")
-        if args.lam < 0 or (args.estimator == "lpd" and args.lam == 0):
-            raise CommandError(EXIT_PARSE, "bad --lambda value")
         ds, reports = fit_directions(args.estimator, S, cs.deltas, args.lam)
         _check_converged(args.estimator, reports, args.strict)
         if args.estimator == "lpd":
@@ -108,8 +106,7 @@ def cmd_fit(args):
                     f"solver {args.estimator}{which} iterations {rep.iterations}"
                     f" converged {str(rep.converged).lower()} kkt {rep.kkt_residual:.3e}"
                 )
-    if args.zeta > 0:
-        ds = hard_threshold(ds, args.zeta)
+    ds = hard_threshold(ds, args.zeta)
     model = build_model(cs, ds)
     io.write_model_file(args.out, model, args.estimator)
     for ln in lines:

@@ -106,6 +106,8 @@ def read_feature_csv(path):
         except ValueError:
             raise FormatError(f"{path}: non-numeric value") from None
     X = np.asarray(rows, dtype=float)
+    if not np.all(np.isfinite(X)):
+        raise FormatError(f"{path}: non-finite value")
     return X, (np.asarray(labels, dtype=int) if labeled else None)
 
 

@@ -16,6 +16,7 @@ __all__ = [
     "DirectionSet",
     "summarize",
     "pooled_scatter",
+    "scatter_matrix",
     "group_norms",
 ]
 
@@ -42,6 +43,8 @@ class Dataset:
             raise ValueError("labels must have one entry per sample")
         if X.shape[0] < 1 or X.shape[1] < 1:
             raise ValueError("need at least one sample and one feature")
+        if not np.all(np.isfinite(X)):
+            raise ValueError("features must be finite")
         k = int(y.max(initial=0))
         if k < 2:
             raise ValueError("need at least two classes")
@@ -122,21 +125,6 @@ class PooledScatter:
     def p(self):
         return self.matrix.shape[0]
 
-    @property
-    def diag_min(self):
-        """Smallest diagonal entry (S+_min)."""
-        return float(np.diag(self.matrix).min())
-
-    @property
-    def diag_max(self):
-        return float(np.diag(self.matrix).max())
-
-    @property
-    def offdiag_max(self):
-        """Largest off-diagonal magnitude (S-_max)."""
-        a = np.abs(self.matrix - np.diag(np.diag(self.matrix)))
-        return float(a.max()) if self.p > 1 else 0.0
-
 
 @dataclass(frozen=True)
 class DirectionSet:
@@ -206,8 +194,17 @@ def pooled_scatter(d: Dataset, cs: ClassSummaries) -> PooledScatter:
         C = d.features[d.class_indices(k)] - cs.means[k - 1]
         S += C.T @ C
     S /= N - K
-    S = (S + S.T) / 2.0
     return PooledScatter(matrix=S, dof=N - K)
+
+
+def scatter_matrix(S) -> np.ndarray:
+    """The p x p matrix of a PooledScatter or of a square array."""
+    if isinstance(S, PooledScatter):
+        return S.matrix
+    M = np.asarray(S, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("scatter must be a square matrix")
+    return M
 
 
 def group_norms(ds: DirectionSet) -> np.ndarray:

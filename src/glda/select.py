@@ -12,7 +12,7 @@ import numpy as np
 
 from .classify import build_model, evaluate
 from .model import Dataset, DirectionSet, pooled_scatter, summarize
-from .solvers import SolverOptions, fit_grouped, hard_threshold
+from .solvers import fit_directions, hard_threshold
 
 __all__ = [
     "LambdaGrid",
@@ -81,6 +81,8 @@ def lambda_max(deltas) -> float:
 
 
 def _stratified_folds(d: Dataset, folds: int, seed: int) -> np.ndarray:
+    if folds < 2:
+        raise ValueError(f"need at least 2 folds, got {folds}")
     rng = np.random.default_rng(seed)
     assign = np.empty(d.n_samples, dtype=int)
     for k in range(1, d.n_classes + 1):
@@ -92,13 +94,12 @@ def _stratified_folds(d: Dataset, folds: int, seed: int) -> np.ndarray:
     return assign
 
 
-def kfold_cv(d: Dataset, grid: LambdaGrid, folds: int = 5, seed: int = 0, opts=None) -> CvResult:
+def kfold_cv(d: Dataset, grid: LambdaGrid, folds: int = 5, seed: int = 0) -> CvResult:
     """Stratified k-fold error of the grouped fit over a penalty grid.
 
     Deterministic for a given (dataset, grid, folds, seed). Ties on mean
     error are broken toward the largest penalty.
     """
-    opts = opts or SolverOptions()
     assign = _stratified_folds(d, folds, seed)
     errors = np.zeros((len(grid), folds))
     for f in range(folds):
@@ -107,10 +108,10 @@ def kfold_cv(d: Dataset, grid: LambdaGrid, folds: int = 5, seed: int = 0, opts=N
         cs = summarize(train)
         S = pooled_scatter(train, cs)
         for i, lam in enumerate(grid.values):
-            ds, _ = fit_grouped(S, cs.deltas, lam, opts)
+            ds, _ = fit_directions("grouped", S, cs.deltas, lam)
             errors[i, f] = evaluate(build_model(cs, ds), test).error_rate
     mean = errors.mean(axis=1)
-    sd = errors.std(axis=1, ddof=1) if folds > 1 else np.zeros(len(grid))
+    sd = errors.std(axis=1, ddof=1)
     best = mean.min()
     chosen = float(grid.values[mean == best].max())
     return CvResult(

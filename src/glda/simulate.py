@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, DirectionSet, PooledScatter
+from .model import Dataset, DirectionSet, scatter_matrix
 
 __all__ = [
     "SimulationSpec",
@@ -89,12 +89,11 @@ class CovarianceSummary:
             raise ValueError("inconsistent covariance summary")
 
 
-def spec_from_directions(sigma, directions, n_per_class, seed, mu1=None) -> SimulationSpec:
-    """Build a spec whose means realize the given true directions."""
+def spec_from_directions(sigma, directions, n_per_class, seed) -> SimulationSpec:
+    """Build a spec whose means realize the given true directions, with mu_1 = 0."""
     sigma = np.asarray(sigma, dtype=float)
     B = directions.matrix if isinstance(directions, DirectionSet) else np.asarray(directions, float)
-    p = sigma.shape[0]
-    mu1 = np.zeros(p) if mu1 is None else np.asarray(mu1, dtype=float)
+    mu1 = np.zeros(sigma.shape[0])
     mus = np.vstack([mu1, mu1 - (sigma @ B).T])
     return SimulationSpec(
         sigma=sigma,
@@ -161,17 +160,14 @@ def covariance_summary(sigma) -> CovarianceSummary:
 def event_d_check(S, sigma, off_tol: float = 0.0) -> bool:
     """Check S-_max <= 2 Sigma-_max (+off_tol) and S+_min >= Sigma+_min / 2.
 
-    `sigma` may be the population matrix or its CovarianceSummary. The
-    off-diagonal test is read literally when Sigma-_max = 0; pass a small
-    off_tol to absorb floating-point noise in that case.
+    `S` may be a PooledScatter or a square array, `sigma` the population
+    matrix or its CovarianceSummary. The off-diagonal test is read
+    literally when Sigma-_max = 0; pass a small off_tol to absorb
+    floating-point noise in that case.
     """
-    if isinstance(S, PooledScatter):
-        s_min, s_off = S.diag_min, S.offdiag_max
-    else:
-        s = covariance_summary(S)
-        s_min, s_off = s.plus_min, s.minus_max
+    s = covariance_summary(scatter_matrix(S))
     pop = sigma if isinstance(sigma, CovarianceSummary) else covariance_summary(sigma)
-    return s_off <= 2.0 * pop.minus_max + off_tol and s_min >= 0.5 * pop.plus_min
+    return s.minus_max <= 2.0 * pop.minus_max + off_tol and s.plus_min >= 0.5 * pop.plus_min
 
 
 def cone_condition_check(estimated: DirectionSet, truth: DirectionSet, T) -> bool:

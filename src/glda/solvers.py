@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DirectionSet, PooledScatter
+from .model import DirectionSet, scatter_matrix
 from .simplex import LpInfeasibleError, LpNumericalError, solve_inequality_lp
 
 __all__ = [
@@ -50,6 +50,13 @@ __all__ = [
 _KKT_CONVERGED = 1e-5
 
 
+# Power iteration for the Lipschitz bound. The Rayleigh quotient approaches
+# the top eigenvalue from below, hence the safety margin.
+_LIPSCHITZ_BOOST = 1.05
+_LIPSCHITZ_ITERS = 50
+_LIPSCHITZ_RTOL = 1e-10
+
+
 def _kkt_exit(opts):
     return max(100.0 * opts.tol, 1e-13)
 
@@ -60,16 +67,12 @@ class SolverOptions:
 
     max_iter: int = 5000
     tol: float = 1e-8
-    lipschitz_boost: float = 1.05
-    restart: bool = True
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.lipschitz_boost < 1:
-            raise ValueError("lipschitz_boost must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -104,25 +107,15 @@ class TheoreticalLambdaParams:
     N: int
     pi_bar: float
     t: float
-    C0: float = 1.0
 
     def __post_init__(self):
         vals = (self.sigma_max_plus, self.delta_total, self.K, self.N, self.pi_bar)
-        if any(v <= 0 for v in vals) or self.C0 <= 0:
+        if any(v <= 0 for v in vals):
             raise ValueError("parameters must be strictly positive")
         if self.t < 0:
             raise ValueError("t must be nonnegative")
         if self.N <= self.K:
             raise ValueError("need N > K")
-
-
-def _scatter_matrix(S):
-    if isinstance(S, PooledScatter):
-        return S.matrix
-    M = np.asarray(S, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("scatter must be a square matrix")
-    return M
 
 
 def group_prox(x, lam):
@@ -140,19 +133,18 @@ def group_prox(x, lam):
     return ((nrm - lam) / nrm) * x
 
 
-def lipschitz_upper(S, boost=1.05, iters=50, rtol=1e-10):
+def lipschitz_upper(S):
     """Upper bound on the largest eigenvalue of S via power iteration.
 
-    The Rayleigh-quotient estimate approaches the top eigenvalue from
-    below; `boost` supplies the safety margin. Never returns less than
-    machine epsilon.
+    Returns 1.05 times the Rayleigh-quotient estimate (floored at machine
+    epsilon) after at most 50 iterations.
     """
-    M = _scatter_matrix(S)
+    M = scatter_matrix(S)
     p = M.shape[0]
     v = 1.0 + 1e-6 * np.arange(p)
     v /= np.linalg.norm(v)
     est = 0.0
-    for _ in range(iters):
+    for _ in range(_LIPSCHITZ_ITERS):
         w = M @ v
         nw = np.linalg.norm(w)
         if nw <= np.finfo(float).tiny:
@@ -160,11 +152,11 @@ def lipschitz_upper(S, boost=1.05, iters=50, rtol=1e-10):
             break
         new = float(v @ w)
         v = w / nw
-        if abs(new - est) <= rtol * max(abs(new), 1.0):
+        if abs(new - est) <= _LIPSCHITZ_RTOL * max(abs(new), 1.0):
             est = new
             break
         est = new
-    return boost * max(est, np.finfo(float).eps)
+    return _LIPSCHITZ_BOOST * max(est, np.finfo(float).eps)
 
 
 def _row_norms(M):
@@ -197,9 +189,13 @@ def _prox_rows(Z, thr):
     return Z * fac[:, None]
 
 
-def _grouped_problem(S, deltas, lambdas):
-    """Validated (scatter matrix, p x K' contrast matrix, per-feature penalties)."""
-    Smat = _scatter_matrix(S)
+def _grouped_problem(S, deltas, lambdas, positive=False):
+    """Validated (scatter matrix, p x K' contrast matrix, per-feature penalties).
+
+    Every fit checks its (S, deltas, lambda) here. Penalties must be finite
+    and nonnegative, or strictly positive when ``positive`` is set.
+    """
+    Smat = scatter_matrix(S)
     p = Smat.shape[0]
     D = np.asarray(deltas, dtype=float)
     if D.ndim == 1:
@@ -208,8 +204,10 @@ def _grouped_problem(S, deltas, lambdas):
         raise ValueError("deltas must be K-1 vectors of length p")
     G = np.ascontiguousarray(D.T)  # p x K'
     lam = np.broadcast_to(np.asarray(lambdas, dtype=float), (p,)).astype(float)
-    if np.any(lam < 0):
-        raise ValueError("lambdas must be nonnegative")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("lambdas must be finite")
+    if np.any(lam <= 0 if positive else lam < 0):
+        raise ValueError("lambdas must be positive" if positive else "lambdas must be nonnegative")
     return Smat, G, lam
 
 
@@ -224,7 +222,7 @@ def _proximal_gradient(Smat, G, lam, opts):
     Gs = G / scale
     ls = lam / scale
 
-    L = lipschitz_upper(Smat, boost=opts.lipschitz_boost)
+    L = lipschitz_upper(Smat)
     kkt_exit = _kkt_exit(opts)
     x = np.zeros_like(Gs)
     y = x
@@ -239,7 +237,7 @@ def _proximal_gradient(Smat, G, lam, opts):
         z = y - (Smat @ y - Gs) / L
         xn = _prox_rows(z, ls / L)
         fn = _grouped_objective(Smat, xn, Gs, ls)
-        if opts.restart and fn > fx:
+        if fn > fx:
             t = 1.0
             guard = 0
             while True:
@@ -295,8 +293,8 @@ def fit_single_lasso(S, delta, lam, opts=None):
     This is the grouped problem with a single direction, whose row norms
     are |b_j|. Returns (vector, report).
     """
-    D = np.asarray(delta, dtype=float).reshape(1, -1)
-    X, report = _proximal_gradient(*_grouped_problem(S, D, lam), opts or SolverOptions())
+    problem = _grouped_problem(S, np.reshape(delta, (1, -1)), lam)
+    X, report = _proximal_gradient(*problem, opts or SolverOptions())
     return X[:, 0], report
 
 
@@ -311,13 +309,9 @@ def fit_lpd(S, delta, lam):
 
     Raises LpInfeasibleError when the constraint set is empty.
     """
-    Smat = _scatter_matrix(S)
+    Smat, G, lam = _grouped_problem(S, np.reshape(delta, (1, -1)), lam, positive=True)
     p = Smat.shape[0]
-    d = np.asarray(delta, dtype=float).reshape(-1)
-    if d.size != p:
-        raise ValueError("delta length must match the scatter dimension")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    d = G[:, 0]
 
     active = np.abs(d) > lam
     if not active.any():
@@ -327,7 +321,7 @@ def fit_lpd(S, delta, lam):
         idx = np.flatnonzero(active)
         rows = Smat[idx]
         A = np.vstack([np.hstack([rows, -rows]), np.hstack([-rows, rows])])
-        b = np.concatenate([lam + d[idx], lam - d[idx]])
+        b = np.concatenate([lam[idx] + d[idx], lam[idx] - d[idx]])
         try:
             x, _ = solve_inequality_lp(c, A, b)
         except LpInfeasibleError:
@@ -352,25 +346,25 @@ def fit_directions(estimator, S, deltas, lam):
     if estimator == "grouped":
         ds, report = fit_grouped(S, deltas, lam)
         return ds, [report]
-    D = np.atleast_2d(np.asarray(deltas, dtype=float))
+    _, G, _ = _grouped_problem(S, deltas, lam)
     if estimator == "single":
-        fits = [fit_single_lasso(S, delta, lam) for delta in D]
+        fits = [fit_single_lasso(S, delta, lam) for delta in G.T]
         return DirectionSet(np.column_stack([b for b, _ in fits])), [r for _, r in fits]
     if estimator == "lpd":
-        return DirectionSet(np.column_stack([fit_lpd(S, delta, lam) for delta in D])), []
+        return DirectionSet(np.column_stack([fit_lpd(S, delta, lam) for delta in G.T])), []
     raise ValueError(f"estimator {estimator} does not produce directions")
 
 
 def hard_threshold(ds: DirectionSet, zeta: float) -> DirectionSet:
     """Zero every entry with magnitude strictly below zeta (boundary kept)."""
-    if zeta < 0:
+    if not zeta >= 0:
         raise ValueError("zeta must be nonnegative")
     M = ds.matrix
     return DirectionSet(np.where(np.abs(M) >= zeta, M, 0.0))
 
 
 def theoretical_lambda(params: TheoreticalLambdaParams) -> float:
-    """Uniform penalty level 2 C0 sqrt(pibar Sigma+_max (Delta v K) t / (N - K))."""
+    """Uniform penalty level 2 sqrt(pibar Sigma+_max (Delta v K) t / (N - K))."""
     inner = (
         params.pi_bar
         * params.sigma_max_plus
@@ -378,7 +372,7 @@ def theoretical_lambda(params: TheoreticalLambdaParams) -> float:
         * params.t
         / (params.N - params.K)
     )
-    return 2.0 * params.C0 * math.sqrt(inner)
+    return 2.0 * math.sqrt(inner)
 
 
 def pi_bar_from_priors(priors) -> float:
@@ -403,10 +397,8 @@ def kkt_residual(S, deltas, lambdas, ds: DirectionSet) -> float:
 
 def oracle_restricted_fit(S, delta, support) -> np.ndarray:
     """Solve the scatter system restricted to a known support, zero elsewhere."""
-    Smat = _scatter_matrix(S)
-    d = np.asarray(delta, dtype=float).reshape(-1)
-    if d.size != Smat.shape[0]:
-        raise ValueError("delta length must match the scatter dimension")
+    Smat, G, _ = _grouped_problem(S, np.reshape(delta, (1, -1)), 0.0)
+    d = G[:, 0]
     idx = np.asarray(sorted(support), dtype=int)
     beta = np.zeros(d.size)
     if idx.size == 0:

@@ -71,6 +71,43 @@ def test_fit_requires_lambda(tmp_path):
     assert main(["fit", str(train), "--out", str(tmp_path / "m.txt")]) == 2
 
 
+@pytest.mark.parametrize("estimator", ["grouped", "single", "lpd"])
+def test_fit_rejects_non_finite_lambda_exit2(tmp_path, capsys, estimator):
+    train = tmp_path / "train.csv"
+    write_training_csv(train)
+    model = tmp_path / "m.txt"
+    for lam in ("nan", "inf"):
+        assert main(["fit", str(train), "--estimator", estimator, "--lambda", lam,
+                     "--out", str(model)]) == 2
+        assert "lambdas must be finite" in capsys.readouterr().err
+        assert not model.exists()
+
+
+def test_fit_non_finite_feature_exit2(tmp_path, capsys):
+    train = tmp_path / "train.csv"
+    write_training_csv(train)
+    lines = train.read_text().split("\n")
+    fields = lines[3].split(",")
+    fields[2] = "nan"
+    lines[3] = ",".join(fields)
+    train.write_text("\n".join(lines))
+    model = tmp_path / "m.txt"
+    assert main(["fit", str(train), "--lambda", "0.5", "--out", str(model)]) == 2
+    assert "non-finite value" in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_fit_negative_zeta_exit2(tmp_path, capsys):
+    train = tmp_path / "train.csv"
+    write_training_csv(train)
+    model = tmp_path / "m.txt"
+    for zeta in ("-1", "nan"):
+        assert main(["fit", str(train), "--lambda", "0.5", "--zeta", zeta,
+                     "--out", str(model)]) == 2
+        assert "zeta must be nonnegative" in capsys.readouterr().err
+        assert not model.exists()
+
+
 def test_fit_all_estimators(tmp_path):
     train = tmp_path / "train.csv"
     write_training_csv(train)
@@ -140,6 +177,17 @@ def test_cv_small_class_exit5(tmp_path):
     write_training_csv(train, n_k=5)
     assert main(["cv", str(train), "--lambda-grid", "1.0:3:1.0", "--folds", "6",
                  "--seed", "0", "--out", str(tmp_path / "cv.csv")]) == 5
+
+
+def test_cv_too_few_folds_exit2(tmp_path, capsys):
+    train = tmp_path / "train.csv"
+    write_training_csv(train)
+    out = tmp_path / "cv.csv"
+    for folds in ("1", "0"):
+        assert main(["cv", str(train), "--lambda-grid", "1.0:3:1.0", "--folds", folds,
+                     "--seed", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: need at least 2 folds, got {folds}\n"
+        assert not out.exists()
 
 
 def test_predict_unlabeled_and_dimension_mismatch(tmp_path, capsys):

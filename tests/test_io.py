@@ -40,6 +40,10 @@ def test_csv_malformed_inputs(tmp_path):
     bad.write_text("label,f1\n1,abc\n")
     with pytest.raises(io.FormatError, match="non-numeric"):
         io.read_feature_csv(bad)
+    for text in ("label,f1\n1,nan\n", "label,f1\n1,-inf\n", "f1,f2\n1.0,inf\n"):
+        bad.write_text(text)
+        with pytest.raises(io.FormatError, match="non-finite value"):
+            io.read_feature_csv(bad)
     bad.write_text("")
     with pytest.raises(io.FormatError, match="empty file"):
         io.read_feature_csv(bad)

@@ -45,6 +45,14 @@ def test_empty_class_message():
         Dataset(np.ones((3, 1)), np.array([1, 1, 3]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_features(bad):
+    X = np.ones((4, 2))
+    X[2, 1] = bad
+    with pytest.raises(ValueError, match="features must be finite"):
+        Dataset(X, np.array([1, 1, 2, 2]))
+
+
 def test_pooled_scatter_hand_case():
     d = two_class_1d()
     S = pooled_scatter(d, summarize(d))

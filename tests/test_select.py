@@ -84,6 +84,9 @@ def test_kfold_cv_small_class_errors():
     grid = LambdaGrid(values=np.array([0.5]))
     with pytest.raises(ValueError, match="fewer samples than fold count"):
         kfold_cv(d, grid, folds=5, seed=0)
+    for folds in (1, 0):
+        with pytest.raises(ValueError, match=f"need at least 2 folds, got {folds}"):
+            kfold_cv(d, grid, folds=folds, seed=0)
 
 
 def test_cv_result_tie_break_invariant():

@@ -91,16 +91,17 @@ def test_prox_nonexpansive(xs, ys, lam):
 
 
 def test_lipschitz_examples():
-    assert lipschitz_upper(np.eye(3), boost=1.0) == pytest.approx(1.0, abs=1e-9)
-    assert lipschitz_upper(np.diag([1.0, 4.0]), boost=1.0) == pytest.approx(4.0, abs=1e-9)
-    assert lipschitz_upper(np.array([[2.0, 1.0], [1.0, 2.0]]), boost=1.0) == pytest.approx(
-        3.0, abs=1e-9
+    # 1.05 times the top eigenvalue
+    assert lipschitz_upper(np.eye(3)) == pytest.approx(1.05, abs=1e-9)
+    assert lipschitz_upper(np.diag([1.0, 4.0])) == pytest.approx(1.05 * 4.0, abs=1e-9)
+    assert lipschitz_upper(np.array([[2.0, 1.0], [1.0, 2.0]])) == pytest.approx(
+        1.05 * 3.0, abs=1e-9
     )
 
 
 def test_lipschitz_floor_and_boost():
-    assert lipschitz_upper(np.zeros((3, 3)), boost=1.0) > 0
-    a = lipschitz_upper(np.eye(2), boost=1.05)
+    assert lipschitz_upper(np.zeros((3, 3))) > 0
+    a = lipschitz_upper(np.eye(2))
     assert a == pytest.approx(1.05, rel=1e-9)
 
 
@@ -298,6 +299,13 @@ def test_lpd_requires_positive_lambda():
         fit_lpd(np.eye(2), np.array([1.0, 1.0]), 0.0)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, -0.1])
+@pytest.mark.parametrize("fit", [fit_grouped, fit_single_lasso, fit_lpd])
+def test_fits_reject_negative_or_non_finite_lambda(fit, lam):
+    with pytest.raises(ValueError, match="lambdas must be"):
+        fit(np.eye(2), np.array([1.0, 1.0]), lam)
+
+
 def test_lpd_feasibility_and_dominance_over_feasible_points():
     rng = np.random.default_rng(21)
     for _ in range(10):
@@ -481,8 +489,6 @@ def test_options_validation():
         SolverOptions(max_iter=0)
     with pytest.raises(ValueError):
         SolverOptions(tol=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(lipschitz_boost=0.9)
 
 
 def test_concurrent_fits_match_sequential():
