@@ -41,6 +41,27 @@ def _argmax_last(score_rows):
     return k - np.argmax(rev, axis=1)
 
 
+def _freeze(model, *names):
+    for name in names:
+        arr = np.array(getattr(model, name), dtype=float)
+        arr.setflags(write=False)
+        object.__setattr__(model, name, arr)
+
+
+def _check_model(means, priors, coefficients):
+    """What both model kinds require: a means matrix, one prior per class,
+    priors summing to 1, and finite means, priors and coefficients (the
+    directions or the variances)."""
+    if means.ndim != 2:
+        raise ValueError("means must form a 2-d matrix")
+    if priors.shape != (means.shape[0],):
+        raise ValueError("need one prior per class")
+    if not all(np.all(np.isfinite(a)) for a in (means, priors, coefficients)):
+        raise ValueError("model entries must be finite")
+    if abs(priors.sum() - 1.0) > 1e-12:
+        raise ValueError("priors must sum to 1")
+
+
 @dataclass(frozen=True)
 class ClassifierModel:
     directions: DirectionSet
@@ -48,21 +69,12 @@ class ClassifierModel:
     priors: np.ndarray
 
     def __post_init__(self):
-        means = np.array(self.means, dtype=float)
-        priors = np.array(self.priors, dtype=float)
-        means.setflags(write=False)
-        priors.setflags(write=False)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "priors", priors)
-        K = means.shape[0]
-        if self.directions.n_directions != K - 1:
+        _freeze(self, "means", "priors")
+        _check_model(self.means, self.priors, self.directions.matrix)
+        if self.directions.n_directions != self.n_classes - 1:
             raise ValueError("need exactly K-1 directions")
-        if self.directions.p != means.shape[1]:
+        if self.directions.p != self.p:
             raise ValueError("direction and mean dimensions differ")
-        if priors.shape != (K,):
-            raise ValueError("need one prior per class")
-        if abs(priors.sum() - 1.0) > 1e-12:
-            raise ValueError("priors must sum to 1")
 
     @property
     def n_classes(self):
@@ -96,8 +108,6 @@ class PredictionReport:
 
 def build_model(cs: ClassSummaries, ds: DirectionSet) -> ClassifierModel:
     """Bundle summaries and fitted directions into a plug-in classifier."""
-    if ds.n_directions != cs.n_classes - 1 or ds.p != cs.p:
-        raise ValueError("directions do not match the class summaries")
     return ClassifierModel(directions=ds, means=cs.means, priors=cs.priors)
 
 
@@ -110,10 +120,10 @@ class NaiveBayesModel:
     priors: np.ndarray
 
     def __post_init__(self):
-        for name in ("means", "variances", "priors"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, "means", "variances", "priors")
+        _check_model(self.means, self.priors, self.variances)
+        if self.variances.shape != self.means.shape:
+            raise ValueError("variances must have the shape of the means")
         if np.any(self.variances <= 0):
             raise ValueError("variances must be positive")
 

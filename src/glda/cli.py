@@ -79,6 +79,10 @@ def _check_converged(estimator, reports, strict):
 
 
 def cmd_fit(args):
+    if args.lam is None and args.estimator not in ("nbayes", "pinv"):
+        raise CommandError(EXIT_PARSE, f"--lambda is required for estimator {args.estimator}")
+    if args.estimator != "nbayes" and not args.zeta >= 0:
+        raise CommandError(EXIT_PARSE, "zeta must be nonnegative")
     data = io.read_dataset_csv(args.data)
     if args.estimator == "nbayes":
         model = naive_bayes_fit(data)
@@ -92,8 +96,6 @@ def cmd_fit(args):
         ds = pseudoinverse_lda_fit(S, cs)
         lines = ["solver pinv done"]
     else:
-        if args.lam is None:
-            raise CommandError(EXIT_PARSE, f"--lambda is required for estimator {args.estimator}")
         ds, reports = fit_directions(args.estimator, S, cs.deltas, args.lam)
         _check_converged(args.estimator, reports, args.strict)
         if args.estimator == "lpd":

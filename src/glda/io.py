@@ -138,53 +138,56 @@ def write_model_file(path, model, estimator: str) -> None:
 
 
 def read_model_file(path):
-    """Load a model file; returns (model, estimator-name)."""
+    """Load a model file; returns (model, estimator-name).
+
+    The model types check their own invariants; any ValueError, from
+    parsing or from a model type, becomes a FormatError naming the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip()]
+    try:
+        return _parse_model([ln for ln in lines if ln.strip()])
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def _parse_model(lines):
     if not lines or lines[0] != "glda-model 1":
-        raise FormatError(f"{path}: not a model file")
+        raise ValueError("not a model file")
     head = lines[1].split() if len(lines) > 1 else []
     if len(head) != 8 or head[0] != "kind" or head[2] != "K" or head[4] != "p" or head[6] != "estimator":
-        raise FormatError(f"{path}: malformed model header")
+        raise ValueError("malformed model header")
     kind, K, p, estimator = head[1], int(head[3]), int(head[5]), head[7]
     pos = 2
 
     def expect(tag):
         nonlocal pos
         if pos >= len(lines) or lines[pos] != tag:
-            raise FormatError(f"{path}: expected section '{tag}'")
+            raise ValueError(f"expected section '{tag}'")
         pos += 1
 
     def take(n):
         nonlocal pos
         if pos + n > len(lines):
-            raise FormatError(f"{path}: truncated file")
+            raise ValueError("truncated file")
         block = np.asarray([[float(v) for v in lines[pos + i].split()] for i in range(n)])
         pos += n
         return block
 
     expect("priors")
     priors = take(1)[0]
-    if priors.size != K:
-        raise FormatError(f"{path}: wrong prior count")
     expect("means")
     means = take(K)
-    if means.shape[1] != p:
-        raise FormatError(f"{path}: wrong mean dimension")
     if kind == "nbayes":
         expect("variances")
-        variances = take(K)
-        if variances.shape != (K, p):
-            raise FormatError(f"{path}: wrong variance dimension")
-        return NaiveBayesModel(means=means, variances=variances, priors=priors), estimator
-    if kind != "lda":
-        raise FormatError(f"{path}: unknown model kind '{kind}'")
-    expect("directions")
-    B = take(p)
-    if B.shape[1] != K - 1:
-        raise FormatError(f"{path}: wrong direction count")
-    model = ClassifierModel(directions=DirectionSet(B), means=means, priors=priors)
+        model = NaiveBayesModel(means=means, variances=take(K), priors=priors)
+    elif kind == "lda":
+        expect("directions")
+        model = ClassifierModel(directions=DirectionSet(take(p)), means=means, priors=priors)
+    else:
+        raise ValueError(f"unknown model kind '{kind}'")
+    if model.p != p:
+        raise ValueError("wrong mean dimension")
     return model, estimator
 
 

@@ -6,6 +6,7 @@ K-1 contrasts delta_k = mean_1 - mean_{k+1}.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,25 +75,25 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ClassSummaries:
-    """Per-class counts, means and priors, plus base-class differences.
+    """Per-class counts and means; priors and base-class differences follow.
 
     deltas[k] = means[0] - means[k + 1] for k = 0..K-2, exactly.
     """
 
     counts: np.ndarray
     means: np.ndarray
-    priors: np.ndarray
-    deltas: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "counts", _frozen(self.counts, dtype=int))
         object.__setattr__(self, "means", _frozen(self.means))
-        object.__setattr__(self, "priors", _frozen(self.priors))
-        object.__setattr__(self, "deltas", _frozen(self.deltas))
-        if abs(self.priors.sum() - 1.0) > 1e-12:
-            raise ValueError("priors must sum to 1")
-        if self.deltas.shape[0] != self.means.shape[0] - 1:
-            raise ValueError("deltas must have K-1 rows")
+
+    @cached_property
+    def priors(self):
+        return _frozen(self.counts / self.counts.sum())
+
+    @cached_property
+    def deltas(self):
+        return _frozen(self.means[0] - self.means[1:])
 
     @property
     def n_classes(self):
@@ -169,19 +170,15 @@ class DirectionSet:
 
 
 def summarize(d: Dataset) -> ClassSummaries:
-    """Class counts, means, priors and base-class mean differences."""
+    """Class counts and means; the summaries derive priors and deltas."""
     K = d.n_classes
     counts = np.zeros(K, dtype=int)
     means = np.zeros((K, d.p))
     for k in range(1, K + 1):
         idx = d.class_indices(k)
-        if idx.size == 0:
-            raise ValueError(f"class {k} has no samples")
         counts[k - 1] = idx.size
         means[k - 1] = d.features[idx].mean(axis=0)
-    priors = counts / counts.sum()
-    deltas = means[0] - means[1:]
-    return ClassSummaries(counts=counts, means=means, priors=priors, deltas=deltas)
+    return ClassSummaries(counts=counts, means=means)
 
 
 def pooled_scatter(d: Dataset, cs: ClassSummaries) -> PooledScatter:

@@ -49,15 +49,13 @@ class CvResult:
     lambdas: np.ndarray
     mean_errors: np.ndarray
     sd_errors: np.ndarray
-    chosen_lambda: float
     fold_assignments: np.ndarray
     seed: int
 
-    def __post_init__(self):
-        best = self.mean_errors.min()
-        winners = self.lambdas[self.mean_errors == best]
-        if self.chosen_lambda != winners.max():
-            raise ValueError("chosen lambda must be the largest minimizer")
+    @property
+    def chosen_lambda(self) -> float:
+        """The largest penalty with the smallest mean error."""
+        return float(self.lambdas[self.mean_errors == self.mean_errors.min()].max())
 
 
 def lambda_grid(lmax: float, n: int, decades: float) -> LambdaGrid:
@@ -110,15 +108,10 @@ def kfold_cv(d: Dataset, grid: LambdaGrid, folds: int = 5, seed: int = 0) -> CvR
         for i, lam in enumerate(grid.values):
             ds, _ = fit_directions("grouped", S, cs.deltas, lam)
             errors[i, f] = evaluate(build_model(cs, ds), test).error_rate
-    mean = errors.mean(axis=1)
-    sd = errors.std(axis=1, ddof=1)
-    best = mean.min()
-    chosen = float(grid.values[mean == best].max())
     return CvResult(
         lambdas=grid.values.copy(),
-        mean_errors=mean,
-        sd_errors=sd,
-        chosen_lambda=chosen,
+        mean_errors=errors.mean(axis=1),
+        sd_errors=errors.std(axis=1, ddof=1),
         fold_assignments=assign,
         seed=seed,
     )

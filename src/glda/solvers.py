@@ -122,15 +122,12 @@ def group_prox(x, lam):
     """argmin_v 0.5||v - x||^2 + lam ||v||, i.e. the group soft-threshold.
 
     Returns ((||x|| - lam)_+ / ||x||) * x, the zero vector whenever
-    ||x|| <= lam (including x = 0).
+    ||x|| <= lam (including x = 0). This is the step the solvers take, so
+    a norm within a relative 1e-12 above lam is also snapped to zero.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    nrm = np.linalg.norm(x)
-    if nrm <= lam:
-        return np.zeros_like(x)
-    return ((nrm - lam) / nrm) * x
+    return _prox_rows(np.asarray(x, dtype=float)[None, :], np.array([lam], dtype=float))[0]
 
 
 def lipschitz_upper(S):

@@ -3,6 +3,7 @@ import pytest
 
 from glda.classify import (
     ClassifierModel,
+    NaiveBayesModel,
     build_model,
     evaluate,
     naive_bayes_fit,
@@ -198,6 +199,26 @@ def test_naive_bayes_through_shared_scoring_path():
     assert report.error_rate == np.mean(labels != d.labels)
 
 
+def test_naive_bayes_model_checks_its_invariants():
+    means, variances, priors = np.zeros((2, 3)), np.ones((2, 3)), np.array([0.5, 0.5])
+    NaiveBayesModel(means=means, variances=variances, priors=priors)
+    bad_means = means.copy()
+    bad_means[1, 2] = np.nan
+    bad_variances = variances.copy()
+    bad_variances[0, 0] = np.inf
+    for kwargs, reason in (
+        ({"priors": np.ones(3) / 3}, "one prior per class"),
+        ({"priors": np.array([0.5, 0.6])}, "sum to 1"),
+        ({"variances": np.ones((2, 1))}, "shape of the means"),
+        ({"means": bad_means}, "must be finite"),
+        ({"variances": bad_variances}, "must be finite"),
+        ({"priors": np.array([np.nan, 0.5])}, "must be finite"),
+    ):
+        args = {"means": means, "variances": variances, "priors": priors, **kwargs}
+        with pytest.raises(ValueError, match=reason):
+            NaiveBayesModel(**args)
+
+
 # --- pseudo-inverse baseline ---------------------------------------------
 
 
@@ -228,12 +249,7 @@ def test_pinv_rank_one_identity():
     means = np.vstack([delta / 2, -delta / 2])
     from glda.model import ClassSummaries
 
-    cs = ClassSummaries(
-        counts=np.array([5, 5]),
-        means=means,
-        priors=np.array([0.5, 0.5]),
-        deltas=(means[0] - means[1:]),
-    )
+    cs = ClassSummaries(counts=np.array([5, 5]), means=means)
     ds = pseudoinverse_lda_fit(S, cs)
     expect = (v @ delta / np.linalg.norm(v) ** 4) * v
     assert np.allclose(ds.matrix[:, 0], expect, atol=1e-10)

@@ -65,10 +65,14 @@ def test_fit_missing_file_exit2(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: cannot open {out}\n"
 
 
-def test_fit_requires_lambda(tmp_path):
+def test_fit_requires_lambda(tmp_path, capsys):
     train = tmp_path / "train.csv"
     write_training_csv(train)
     assert main(["fit", str(train), "--out", str(tmp_path / "m.txt")]) == 2
+    capsys.readouterr()
+    # the flag is checked before the data file is opened
+    assert main(["fit", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "m.txt")]) == 2
+    assert capsys.readouterr().err == "error: --lambda is required for estimator grouped\n"
 
 
 @pytest.mark.parametrize("estimator", ["grouped", "single", "lpd"])
@@ -106,6 +110,10 @@ def test_fit_negative_zeta_exit2(tmp_path, capsys):
                      "--out", str(model)]) == 2
         assert "zeta must be nonnegative" in capsys.readouterr().err
         assert not model.exists()
+    # the flag is checked before the data file is opened
+    assert main(["fit", str(tmp_path / "nope.csv"), "--lambda", "0.5", "--zeta", "-1",
+                 "--out", str(model)]) == 2
+    assert capsys.readouterr().err == "error: zeta must be nonnegative\n"
 
 
 def test_fit_all_estimators(tmp_path):
@@ -218,6 +226,22 @@ def test_predict_empty_file_exit2(tmp_path):
     empty.write_text("")
     assert main(["predict", str(model), str(empty),
                  "--out", str(tmp_path / "p.csv")]) == 2
+
+
+def test_predict_non_finite_model_exit2(tmp_path, capsys):
+    train = tmp_path / "train.csv"
+    write_training_csv(train)
+    model = tmp_path / "model.txt"
+    assert main(["fit", str(train), "--lambda", "0.5", "--out", str(model)]) == 0
+    lines = model.read_text().split("\n")
+    row = lines.index("means") + 2
+    lines[row] = " ".join("nan" for _ in lines[row].split())
+    model.write_text("\n".join(lines))
+    capsys.readouterr()
+    pred = tmp_path / "p.csv"
+    assert main(["predict", str(model), str(train), "--out", str(pred)]) == 2
+    assert capsys.readouterr().err == f"error: {model}: model entries must be finite\n"
+    assert not pred.exists()
 
 
 def test_path_file_shape_and_zero_block(tmp_path):

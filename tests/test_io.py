@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,23 @@ def test_model_file_rejects_garbage(tmp_path):
     for text in ("not a model\n", "glda-model 1\n"):
         path.write_text(text)
         with pytest.raises(io.FormatError):
+            io.read_model_file(path)
+    lda = ClassifierModel(directions=DirectionSet(np.ones((3, 1))), means=np.zeros((2, 3)),
+                          priors=np.array([0.5, 0.5]))
+    nb = NaiveBayesModel(means=np.zeros((2, 3)), variances=np.ones((2, 3)),
+                         priors=np.array([0.5, 0.5]))
+    for model, section, row, reason in (
+        (lda, "means", "0 nan 0", "model entries must be finite"),
+        (lda, "directions", "inf", "model entries must be finite"),
+        (nb, "variances", "1 1 nan", "model entries must be finite"),
+        (lda, "means", "0 0", ""),  # ragged means row
+        (lda, "means", "0 zero 0", "could not convert"),
+    ):
+        io.write_model_file(path, model, "grouped")
+        lines = path.read_text().split("\n")
+        lines[lines.index(section) + 1] = row
+        path.write_text("\n".join(lines))
+        with pytest.raises(io.FormatError, match=re.escape(f"{path}: {reason}")):
             io.read_model_file(path)
 
 

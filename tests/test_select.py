@@ -90,24 +90,14 @@ def test_kfold_cv_small_class_errors():
 
 
 def test_cv_result_tie_break_invariant():
-    with pytest.raises(ValueError):
-        CvResult(
-            lambdas=np.array([2.0, 1.0, 0.5]),
-            mean_errors=np.array([0.2, 0.1, 0.1]),
-            sd_errors=np.zeros(3),
-            chosen_lambda=0.5,  # must be 1.0
-            fold_assignments=np.zeros(3, dtype=int),
-            seed=0,
-        )
-    ok = CvResult(
+    res = CvResult(
         lambdas=np.array([2.0, 1.0, 0.5]),
         mean_errors=np.array([0.2, 0.1, 0.1]),
         sd_errors=np.zeros(3),
-        chosen_lambda=1.0,
         fold_assignments=np.zeros(3, dtype=int),
         seed=0,
     )
-    assert ok.chosen_lambda == 1.0
+    assert res.chosen_lambda == 1.0  # the larger of the two tied minimizers
 
 
 def test_support_metrics_exact():
