@@ -21,7 +21,7 @@ from .classify import (
     pseudoinverse_lda_fit,
 )
 from .model import DirectionSet, group_norms, pooled_scatter, summarize
-from .select import kfold_cv, lambda_grid, lambda_max, support_metrics
+from .select import FoldSizeError, kfold_cv, lambda_grid, lambda_max, support_metrics
 from .simulate import (
     CovarianceSummary,
     covariance_summary,
@@ -120,10 +120,7 @@ def cmd_fit(args):
 
 def cmd_cv(args):
     data = io.read_dataset_csv(args.data)
-    cs = summarize(data)
-    if int(cs.counts.min()) < args.folds:
-        raise CommandError(EXIT_SMALL_CLASS, "a class has fewer samples than the fold count")
-    grid = _grid_for(args, cs.deltas)
+    grid = _grid_for(args, summarize(data).deltas)
     result = kfold_cv(data, grid, folds=args.folds, seed=args.seed)
     lines = ["lambda,mean_error,sd_error"]
     for lam, me, sd in zip(result.lambdas, result.mean_errors, result.sd_errors):
@@ -205,20 +202,35 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
+def _read_truth(path):
+    """The true directions, 0-based joint support and covariance summary of a truth sidecar."""
+    truth = io.read_truth_file(path)
+    if not isinstance(truth, dict):
+        raise io.FormatError(f"{path}: not a truth file")
+    try:
+        B_true = DirectionSet(np.asarray(truth["true_directions"], dtype=float))
+        support = truth["support_joint"]
+        sig = CovarianceSummary(**{k: float(v) for k, v in truth["sigma_summary"].items()})
+    except KeyError as exc:
+        raise io.FormatError(f"{path}: missing {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise io.FormatError(f"{path}: {exc}") from None
+    if not isinstance(support, list) or not all(type(j) is int and 1 <= j <= B_true.p for j in support):
+        raise io.FormatError(f"{path}: support entries must be integers in 1..{B_true.p}")
+    return B_true, [j - 1 for j in support], sig
+
+
 def cmd_diagnose(args):
     model, _ = io.read_model_file(args.model)
     if isinstance(model, NaiveBayesModel):
         raise CommandError(EXIT_PARSE, "diagnose needs a direction-based model")
-    truth = io.read_truth_file(args.truth)
+    B_true, T, sig = _read_truth(args.truth)
     data = io.read_dataset_csv(args.data)
-    B_true = DirectionSet(np.asarray(truth["true_directions"], dtype=float))
     est = model.directions
     if est.matrix.shape != B_true.matrix.shape or data.p != est.p:
         raise CommandError(EXIT_DIM, "model, truth and data dimensions differ")
-    T = [j - 1 for j in truth["support_joint"]]
     cs = summarize(data)
     S = pooled_scatter(data, cs)
-    sig = CovarianceSummary(**truth["sigma_summary"])
     gap = est.matrix - B_true.matrix
     sup_err = float(np.linalg.norm(gap, axis=1).max())
     metrics = support_metrics(est, B_true, zeta=args.zeta)
@@ -323,6 +335,9 @@ def main(argv=None) -> int:
     except LpInfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except FoldSizeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SMALL_CLASS
     except FileNotFoundError as exc:
         print(f"error: cannot open {exc.filename}", file=sys.stderr)
         return EXIT_PARSE

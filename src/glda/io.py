@@ -1,16 +1,18 @@
 """On-disk formats: dataset CSV, plain-text model files, truth sidecars.
 
-Dataset CSV: header ``label,f1,...,fp`` with integer labels 1..K; a test
-file may omit the label column (header ``f1,...,fp``). Floats are written
-with 17 significant digits so a write/read round trip is bit-exact.
+Dataset CSV: header ``label,f1,...,fp`` with whole-number labels 1..K; a
+test file may omit the label column (header ``f1,...,fp``). numpy writes
+floats with 17 significant digits, so a write/read round trip is bit-exact.
 
 Model files are line-oriented text with named sections (dimensions,
 priors, means, directions or variances) - diffable and language-agnostic.
 
-All writers go through a temp-file-plus-rename so partial files never
-appear at the target path.
+All writers stream into a temp file that is renamed onto the target, so
+partial files never appear at the target path.
 """
 
+import contextlib
+import itertools
 import json
 import os
 import tempfile
@@ -42,11 +44,9 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _vec(v) -> str:
-    return " ".join(fmt(x) for x in v)
-
-
-def atomic_write_text(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_open(path):
+    """A text handle on a temp file beside ``path``, renamed onto it on success."""
     d = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
@@ -55,7 +55,7 @@ def atomic_write_text(path: str, text: str) -> None:
         raise FileNotFoundError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -63,52 +63,57 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def atomic_write_text(path: str, text: str) -> None:
+    with _atomic_open(path) as fh:
+        fh.write(text)
+
+
 def write_dataset_csv(path, features, labels=None) -> None:
     X = np.atleast_2d(np.asarray(features, dtype=float))
-    lines = []
-    if labels is None:
-        lines.append(",".join(f"f{j + 1}" for j in range(X.shape[1])))
-        for row in X:
-            lines.append(",".join(fmt(v) for v in row))
-    else:
-        labels = np.asarray(labels, dtype=int)
-        lines.append("label," + ",".join(f"f{j + 1}" for j in range(X.shape[1])))
-        for lab, row in zip(labels, X):
-            lines.append(str(int(lab)) + "," + ",".join(fmt(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    names, formats = [f"f{j + 1}" for j in range(X.shape[1])], ["%.17g"] * X.shape[1]
+    if labels is not None:
+        X = np.column_stack((np.asarray(labels, dtype=int), X))
+        names, formats = ["label", *names], ["%d", *formats]
+    with _atomic_open(path) as fh:
+        np.savetxt(fh, X, fmt=formats, delimiter=",", header=",".join(names), comments="")
 
 
 def read_feature_csv(path):
     """Read a dataset CSV; returns (features, labels-or-None)."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise FormatError(f"{path}: empty file")
-    header = lines[0].split(",")
-    labeled = header[0] == "label"
-    feat_names = header[1:] if labeled else header
-    if feat_names != [f"f{j + 1}" for j in range(len(feat_names))] or not feat_names:
-        raise FormatError(f"{path}: malformed header")
-    if len(lines) == 1:
-        raise FormatError(f"{path}: no data rows")
-    rows = []
-    labels = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise FormatError(f"{path}: ragged row")
+        lines = (ln for ln in fh if ln.strip())  # skip blank lines anywhere
+        first = next(lines, None)
+        if first is None:
+            raise FormatError(f"{path}: empty file")
+        header = first.strip().split(",")
+        labeled = header[0] == "label"
+        feat_names = header[1:] if labeled else header
+        if feat_names != [f"f{j + 1}" for j in range(len(feat_names))] or not feat_names:
+            raise FormatError(f"{path}: malformed header")
+        row = next(lines, None)
+        if row is None:
+            raise FormatError(f"{path}: no data rows")
+
+        def rows():
+            for ln in itertools.chain((row,), lines):
+                if ln.count(",") != len(header) - 1:
+                    raise FormatError(f"{path}: ragged row")
+                yield ln
+
         try:
-            if labeled:
-                labels.append(int(parts[0]))
-                rows.append([float(v) for v in parts[1:]])
-            else:
-                rows.append([float(v) for v in parts])
+            table = np.loadtxt(rows(), delimiter=",", comments=None, ndmin=2)
         except ValueError:
             raise FormatError(f"{path}: non-numeric value") from None
-    X = np.asarray(rows, dtype=float)
-    if not np.all(np.isfinite(X)):
+    labels = None
+    if labeled:
+        labels, table = table[:, 0], table[:, 1:]
+        # a label is a whole number that fits an int (nan and inf fail both tests)
+        if not np.all((np.abs(labels) < 2.0**63) & (labels == np.floor(labels))):
+            raise FormatError(f"{path}: non-numeric value")
+        labels = labels.astype(int)
+    if not np.all(np.isfinite(table)):
         raise FormatError(f"{path}: non-finite value")
-    return X, (np.asarray(labels, dtype=int) if labeled else None)
+    return table, labels
 
 
 def read_dataset_csv(path) -> Dataset:
@@ -124,17 +129,11 @@ def write_model_file(path, model, estimator: str) -> None:
         kind, section, rows = "nbayes", "variances", model.variances
     else:
         kind, section, rows = "lda", "directions", model.directions.matrix
-    lines = [
-        "glda-model 1",
-        f"kind {kind} K {model.n_classes} p {model.p} estimator {estimator}",
-        "priors",
-        _vec(model.priors),
-        "means",
-        *(_vec(row) for row in model.means),
-        section,
-        *(_vec(row) for row in rows),
-    ]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    with _atomic_open(path) as fh:
+        fh.write(f"glda-model 1\nkind {kind} K {model.n_classes} p {model.p} estimator {estimator}\n")
+        for tag, block in (("priors", model.priors[None, :]), ("means", model.means), (section, rows)):
+            fh.write(tag + "\n")
+            np.savetxt(fh, block, fmt="%.17g")
 
 
 def read_model_file(path):
@@ -158,32 +157,26 @@ def _parse_model(lines):
     if len(head) != 8 or head[0] != "kind" or head[2] != "K" or head[4] != "p" or head[6] != "estimator":
         raise ValueError("malformed model header")
     kind, K, p, estimator = head[1], int(head[3]), int(head[5]), head[7]
+    if K < 1 or p < 1:
+        raise ValueError("malformed model header")
     pos = 2
 
-    def expect(tag):
+    def section(tag, n):
         nonlocal pos
         if pos >= len(lines) or lines[pos] != tag:
             raise ValueError(f"expected section '{tag}'")
-        pos += 1
-
-    def take(n):
-        nonlocal pos
-        if pos + n > len(lines):
+        if pos + 1 + n > len(lines):
             raise ValueError("truncated file")
-        block = np.asarray([[float(v) for v in lines[pos + i].split()] for i in range(n)])
-        pos += n
-        return block
+        pos += 1 + n
+        return np.loadtxt(lines[pos - n:pos], comments=None, ndmin=2)
 
-    expect("priors")
-    priors = take(1)[0]
-    expect("means")
-    means = take(K)
+    priors = section("priors", 1)[0]
+    means = section("means", K)
     if kind == "nbayes":
-        expect("variances")
-        model = NaiveBayesModel(means=means, variances=take(K), priors=priors)
+        model = NaiveBayesModel(means=means, variances=section("variances", K), priors=priors)
     elif kind == "lda":
-        expect("directions")
-        model = ClassifierModel(directions=DirectionSet(take(p)), means=means, priors=priors)
+        directions = DirectionSet(section("directions", p))
+        model = ClassifierModel(directions=directions, means=means, priors=priors)
     else:
         raise ValueError(f"unknown model kind '{kind}'")
     if model.p != p:

@@ -17,6 +17,7 @@ from .solvers import fit_directions, hard_threshold
 __all__ = [
     "LambdaGrid",
     "CvResult",
+    "FoldSizeError",
     "SupportCounts",
     "SupportMetrics",
     "lambda_grid",
@@ -78,6 +79,10 @@ def lambda_max(deltas) -> float:
     return float(np.linalg.norm(D, axis=0).max())
 
 
+class FoldSizeError(ValueError):
+    """A class has fewer samples than the number of cross-validation folds."""
+
+
 def _stratified_folds(d: Dataset, folds: int, seed: int) -> np.ndarray:
     if folds < 2:
         raise ValueError(f"need at least 2 folds, got {folds}")
@@ -86,7 +91,7 @@ def _stratified_folds(d: Dataset, folds: int, seed: int) -> np.ndarray:
     for k in range(1, d.n_classes + 1):
         idx = d.class_indices(k)
         if idx.size < folds:
-            raise ValueError(f"class {k} has fewer samples than fold count")
+            raise FoldSizeError(f"class {k} has fewer samples than fold count")
         perm = rng.permutation(idx)
         assign[perm] = np.arange(perm.size) % folds
     return assign

@@ -180,11 +180,12 @@ def test_cv_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_cv_small_class_exit5(tmp_path):
+def test_cv_small_class_exit5(tmp_path, capsys):
     train = tmp_path / "train.csv"
     write_training_csv(train, n_k=5)
     assert main(["cv", str(train), "--lambda-grid", "1.0:3:1.0", "--folds", "6",
                  "--seed", "0", "--out", str(tmp_path / "cv.csv")]) == 5
+    assert capsys.readouterr().err == "error: class 1 has fewer samples than fold count\n"
 
 
 def test_cv_too_few_folds_exit2(tmp_path, capsys):
@@ -433,6 +434,29 @@ def test_diagnose_missing_truth_exit2(tmp_path):
     main(["fit", str(data), "--lambda", "1.5", "--out", str(model)])
     assert main(["diagnose", str(model), str(tmp_path / "missing.json"), str(data),
                  "--zeta", "0.1", "--out", str(tmp_path / "d.jsonl")]) == 2
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda t: {}, "missing 'true_directions'"),
+        (lambda t: [t], "not a truth file"),
+        (lambda t: {**t, "support_joint": [999]}, "support entries must be integers in 1..200"),
+        (lambda t: {**t, "support_joint": [0]}, "support entries must be integers in 1..200"),
+    ],
+    ids=["empty-object", "list", "support-above-p", "support-zero"],
+)
+def test_diagnose_malformed_truth_exit2(tmp_path, capsys, edit, reason):
+    data, truth = tmp_path / "sim.csv", tmp_path / "truth.json"
+    main(["simulate", "sim1", "--seed", "2", "--out", str(data), "--truth-out", str(truth)])
+    model = tmp_path / "m.txt"
+    main(["fit", str(data), "--estimator", "pinv", "--out", str(model)])
+    truth.write_text(json.dumps(edit(json.loads(truth.read_text()))))
+    capsys.readouterr()
+    out = tmp_path / "d.jsonl"
+    assert main(["diagnose", str(model), str(truth), str(data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {truth}: {reason}\n"
+    assert not out.exists()
 
 
 def test_diagnose_end_to_end_positive_error(tmp_path):

@@ -28,6 +28,64 @@ def test_unlabeled_csv_round_trip(tmp_path):
     assert np.array_equal(X, X2)
 
 
+def test_csv_and_model_file_exact_bytes(tmp_path):
+    path = tmp_path / "d.csv"
+    X = [[0.1, -0.0], [1e-300, 2.0]]
+    io.write_dataset_csv(path, X, [1, 2])
+    assert path.read_text() == "label,f1,f2\n1,0.10000000000000001,-0\n2,1e-300,2\n"
+    io.write_dataset_csv(path, X)
+    assert path.read_text() == "f1,f2\n0.10000000000000001,-0\n1e-300,2\n"
+    model = ClassifierModel(directions=DirectionSet([[0.5], [-0.0]]),
+                            means=np.array([[0.1, 0.0], [1.0, 2.0]]), priors=np.array([0.25, 0.75]))
+    io.write_model_file(path, model, "grouped")
+    assert path.read_text() == (
+        "glda-model 1\nkind lda K 2 p 2 estimator grouped\npriors\n0.25 0.75\n"
+        "means\n0.10000000000000001 0\n1 2\ndirections\n0.5\n-0\n"
+    )
+
+
+def test_csv_blank_lines_crlf_and_whole_float_labels(tmp_path):
+    clean, odd = tmp_path / "clean.csv", tmp_path / "odd.csv"
+    clean.write_text("label,f1,f2\n1,0.5,-2\n2,3,4e-3\n")
+    odd.write_bytes(b"\r\nlabel,f1,f2\r\n1,0.5,-2\r\n  \t\r\n2,3,4e-3\r\n")
+    X, y = io.read_feature_csv(clean)
+    X2, y2 = io.read_feature_csv(odd)
+    assert np.array_equal(X, X2) and np.array_equal(y, y2)
+    assert y2.dtype.kind == "i"
+    clean.write_text("label,f1\n1.0,2\n2e0,3\n")
+    assert io.read_feature_csv(clean)[1].tolist() == [1, 2]
+
+
+def test_csv_write_failure_keeps_old_target(tmp_path, monkeypatch):
+    path = tmp_path / "d.csv"
+    path.write_text("old\n")
+    real_fdopen = io.os.fdopen
+
+    class FailingFile:
+        """Passes the header and the first row through, then fails."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, text):
+            if self.writes == 2:
+                raise OSError("disk full")
+            self.writes += 1
+            return self.fh.write(text)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    monkeypatch.setattr(io.os, "fdopen", lambda *a, **k: FailingFile(real_fdopen(*a, **k)))
+    with pytest.raises(OSError, match="disk full"):
+        io.write_dataset_csv(path, np.ones((3, 2)), [1, 2, 1])
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+
+
 def test_csv_malformed_inputs(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("label,f1\n")
@@ -39,9 +97,10 @@ def test_csv_malformed_inputs(tmp_path):
     bad.write_text("label,f1\n1,2.0,3.0\n")
     with pytest.raises(io.FormatError, match="ragged row"):
         io.read_feature_csv(bad)
-    bad.write_text("label,f1\n1,abc\n")
-    with pytest.raises(io.FormatError, match="non-numeric"):
-        io.read_feature_csv(bad)
+    for text in ("label,f1\n1,abc\n", "label,f1\n1.5,2.0\n", "label,f1\nx,2.0\n", "label,f1\n1,\n"):
+        bad.write_text(text)
+        with pytest.raises(io.FormatError, match="non-numeric"):
+            io.read_feature_csv(bad)
     for text in ("label,f1\n1,nan\n", "label,f1\n1,-inf\n", "f1,f2\n1.0,inf\n"):
         bad.write_text(text)
         with pytest.raises(io.FormatError, match="non-finite value"):
@@ -103,6 +162,13 @@ def test_model_file_rejects_garbage(tmp_path):
         lines[lines.index(section) + 1] = row
         path.write_text("\n".join(lines))
         with pytest.raises(io.FormatError, match=re.escape(f"{path}: {reason}")):
+            io.read_model_file(path)
+    for bad_head in ("kind lda K 0 p 3 estimator grouped", "kind lda K 2 p 0 estimator grouped"):
+        io.write_model_file(path, lda, "grouped")
+        lines = path.read_text().split("\n")
+        lines[1] = bad_head
+        path.write_text("\n".join(lines))
+        with pytest.raises(io.FormatError, match=re.escape(f"{path}: malformed model header")):
             io.read_model_file(path)
 
 
