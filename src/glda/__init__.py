@@ -21,7 +21,6 @@ from .solvers import (
     group_prox,
     hard_threshold,
     kkt_residual,
-    lipschitz_upper,
     oracle_restricted_fit,
     pi_bar_from_priors,
     theoretical_lambda,

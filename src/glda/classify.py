@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ClassSummaries, Dataset, DirectionSet, scatter_matrix, summarize
+from .model import ClassSummaries, Dataset, DirectionSet, as_scatter, summarize
 
 __all__ = [
     "ClassifierModel",
@@ -189,10 +189,13 @@ def evaluate(m, test: Dataset) -> PredictionReport:
 def pseudoinverse_lda_fit(S, cs: ClassSummaries) -> DirectionSet:
     """Directions from the Moore-Penrose pseudo-inverse of the pooled scatter.
 
-    Eigenvalues below 1e-10 times the largest are treated as zero.
+    Uses the thin SVD F = U diag(s) V' of the scatter's factor, so S = V
+    diag(s^2) V'. Eigenvalues s^2 below 1e-10 times the largest are treated
+    as zero.
     """
-    w, V = np.linalg.eigh(scatter_matrix(S))
-    cut = 1e-10 * max(w.max(initial=0.0), 0.0)
-    inv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
-    B = V @ (inv[:, None] * (V.T @ cs.deltas.T))
+    _, s, Vt = np.linalg.svd(as_scatter(S).factor, full_matrices=False)
+    w = s * s
+    keep = w > 1e-10 * w.max(initial=0.0)
+    Vk = Vt[keep]
+    B = Vk.T @ ((Vk @ cs.deltas.T) / w[keep, None])
     return DirectionSet(B)

@@ -15,7 +15,6 @@ import contextlib
 import itertools
 import json
 import os
-import tempfile
 
 import numpy as np
 
@@ -48,11 +47,17 @@ def fmt(x: float) -> str:
 def _atomic_open(path):
     """A text handle on a temp file beside ``path``, renamed onto it on success."""
     d = os.path.dirname(os.path.abspath(path))
-    try:
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
-    except FileNotFoundError as exc:
-        # name the target the caller gave, not the temp file
-        raise FileNotFoundError(exc.errno, exc.strerror, path) from None
+    while True:
+        tmp = os.path.join(d, f".tmp-{os.urandom(4).hex()}")
+        try:
+            # mode 0o666 lets the umask set the permissions, as open() does
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+        except FileNotFoundError as exc:
+            # name the target the caller gave, not the temp file
+            raise FileNotFoundError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             yield fh

@@ -17,7 +17,7 @@ __all__ = [
     "DirectionSet",
     "summarize",
     "pooled_scatter",
-    "scatter_matrix",
+    "as_scatter",
     "group_norms",
 ]
 
@@ -106,25 +106,44 @@ class ClassSummaries:
 
 @dataclass(frozen=True)
 class PooledScatter:
-    """Pooled within-class covariance with its degrees of freedom N - K."""
+    """Pooled within-class covariance S = F'F, kept as its factor F.
 
-    matrix: np.ndarray
+    ``pooled_scatter`` makes F the N x p class-centred data over
+    sqrt(N - K), so S has rank at most N - K; ``dof`` is N - K. The p x p
+    matrix is formed only where it is read.
+    """
+
+    factor: np.ndarray
     dof: int
 
     def __post_init__(self):
-        S = np.array(self.matrix, dtype=float)
-        if S.ndim != 2 or S.shape[0] != S.shape[1]:
-            raise ValueError("scatter matrix must be square")
-        if not np.array_equal(S, S.T):
-            S = (S + S.T) / 2.0
-        S.setflags(write=False)
-        object.__setattr__(self, "matrix", S)
+        F = _frozen(self.factor)
+        if F.ndim != 2 or F.size == 0:
+            raise ValueError("scatter factor must be a non-empty 2-d array")
+        object.__setattr__(self, "factor", F)
         if self.dof < 1:
             raise ValueError("insufficient degrees of freedom")
 
     @property
     def p(self):
-        return self.matrix.shape[0]
+        return self.factor.shape[1]
+
+    @cached_property
+    def matrix(self):
+        S = self.factor.T @ self.factor
+        S.setflags(write=False)
+        return S
+
+    @cached_property
+    def top_eigenvalue(self):
+        """Largest eigenvalue of S, from the Gram matrix of F's shorter side."""
+        F = self.factor
+        gram = F @ F.T if F.shape[0] <= F.shape[1] else F.T @ F
+        return float(np.linalg.eigvalsh(gram)[-1])
+
+    def dot(self, X):
+        """S @ X through the factor."""
+        return self.factor.T @ (self.factor @ X)
 
 
 @dataclass(frozen=True)
@@ -186,22 +205,24 @@ def pooled_scatter(d: Dataset, cs: ClassSummaries) -> PooledScatter:
     N, K = d.n_samples, cs.n_classes
     if N <= K:
         raise ValueError("insufficient degrees of freedom")
-    S = np.zeros((d.p, d.p))
-    for k in range(1, K + 1):
-        C = d.features[d.class_indices(k)] - cs.means[k - 1]
-        S += C.T @ C
-    S /= N - K
-    return PooledScatter(matrix=S, dof=N - K)
+    F = (d.features - cs.means[d.labels - 1]) / np.sqrt(N - K)
+    return PooledScatter(factor=F, dof=N - K)
 
 
-def scatter_matrix(S) -> np.ndarray:
-    """The p x p matrix of a PooledScatter or of a square array."""
+def as_scatter(S) -> PooledScatter:
+    """A PooledScatter as it is, or a square PSD array factored once with eigh.
+
+    A square array is symmetrised first; its dof is unknown and set to 1.
+    """
     if isinstance(S, PooledScatter):
-        return S.matrix
+        return S
     M = np.asarray(S, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("scatter must be a square matrix")
-    return M
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
+        raise ValueError("scatter must be a non-empty square matrix")
+    w, V = np.linalg.eigh((M + M.T) / 2.0)
+    if w[0] < -1e-10 * w[-1]:
+        raise ValueError("scatter must be positive semidefinite")
+    return PooledScatter(factor=(V * np.sqrt(np.maximum(w, 0.0))).T, dof=1)
 
 
 def group_norms(ds: DirectionSet) -> np.ndarray:

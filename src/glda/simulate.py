@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import Dataset, DirectionSet, scatter_matrix
+from .model import Dataset, DirectionSet, PooledScatter
 
 __all__ = [
     "SimulationSpec",
@@ -162,7 +162,7 @@ def event_d_check(S, sigma, off_tol: float = 0.0) -> bool:
     literally when Sigma-_max = 0; pass a small off_tol to absorb
     floating-point noise in that case.
     """
-    s = covariance_summary(scatter_matrix(S))
+    s = covariance_summary(S.matrix if isinstance(S, PooledScatter) else S)
     pop = sigma if isinstance(sigma, CovarianceSummary) else covariance_summary(sigma)
     return s.minus_max <= 2.0 * pop.minus_max + off_tol and s.plus_min >= 0.5 * pop.plus_min
 

@@ -12,10 +12,9 @@ Three routes to the discriminant directions:
   dense simplex.
 
 ``fit_directions`` picks one of the three by name and fits all K-1
-directions. Plus the supporting pieces: the group proximal operator, a
-power-iteration Lipschitz bound, hard thresholding for support recovery,
-the theory-driven penalty level, KKT diagnostics and the
-support-restricted oracle fit.
+directions. Plus the supporting pieces: the group proximal operator, hard
+thresholding for support recovery, the theory-driven penalty level, KKT
+diagnostics and the support-restricted oracle fit.
 """
 
 import math
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DirectionSet, scatter_matrix
+from .model import DirectionSet, as_scatter
 from .simplex import LpInfeasibleError, LpNumericalError, solve_inequality_lp
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "SolverReport",
     "TheoreticalLambdaParams",
     "group_prox",
-    "lipschitz_upper",
     "fit_grouped",
     "fit_single_lasso",
     "fit_lpd",
@@ -48,13 +46,6 @@ __all__ = [
 # flagged converged; the early-exit threshold scales with opts.tol so a
 # tighter tol buys a tighter solution.
 _KKT_CONVERGED = 1e-5
-
-
-# Power iteration for the Lipschitz bound. The Rayleigh quotient approaches
-# the top eigenvalue from below, hence the safety margin.
-_LIPSCHITZ_BOOST = 1.05
-_LIPSCHITZ_ITERS = 50
-_LIPSCHITZ_RTOL = 1e-10
 
 
 def _kkt_exit(opts):
@@ -130,43 +121,17 @@ def group_prox(x, lam):
     return _prox_rows(np.asarray(x, dtype=float)[None, :], np.array([lam], dtype=float))[0]
 
 
-def lipschitz_upper(S):
-    """Upper bound on the largest eigenvalue of S via power iteration.
-
-    Returns 1.05 times the Rayleigh-quotient estimate (floored at machine
-    epsilon) after at most 50 iterations.
-    """
-    M = scatter_matrix(S)
-    p = M.shape[0]
-    v = 1.0 + 1e-6 * np.arange(p)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(_LIPSCHITZ_ITERS):
-        w = M @ v
-        nw = np.linalg.norm(w)
-        if nw <= np.finfo(float).tiny:
-            est = 0.0
-            break
-        new = float(v @ w)
-        v = w / nw
-        if abs(new - est) <= _LIPSCHITZ_RTOL * max(abs(new), 1.0):
-            est = new
-            break
-        est = new
-    return _LIPSCHITZ_BOOST * max(est, np.finfo(float).eps)
-
-
 def _row_norms(M):
     return np.linalg.norm(M, axis=1)
 
 
-def _grouped_objective(Smat, X, G, lam):
-    SX = Smat @ X
-    return 0.5 * float(np.sum(X * SX)) - float(np.sum(G * X)) + float(lam @ _row_norms(X))
+def _grouped_objective(S, X, G, lam):
+    FX = S.factor @ X
+    return 0.5 * float(np.sum(FX * FX)) - float(np.sum(G * X)) + float(lam @ _row_norms(X))
 
 
-def _grouped_kkt(Smat, X, G, lam):
-    R = Smat @ X - G
+def _grouped_kkt(S, X, G, lam):
+    R = S.dot(X) - G
     rn = _row_norms(X)
     active = rn > 0
     out = np.maximum(_row_norms(R) - lam, 0.0)
@@ -187,13 +152,13 @@ def _prox_rows(Z, thr):
 
 
 def _grouped_problem(S, deltas, lambdas, positive=False):
-    """Validated (scatter matrix, p x K' contrast matrix, per-feature penalties).
+    """Validated (PooledScatter, p x K' contrast matrix, per-feature penalties).
 
     Every fit checks its (S, deltas, lambda) here. Penalties must be finite
     and nonnegative, or strictly positive when ``positive`` is set.
     """
-    Smat = scatter_matrix(S)
-    p = Smat.shape[0]
+    S = as_scatter(S)
+    p = S.p
     D = np.asarray(deltas, dtype=float)
     if D.ndim == 1:
         D = D[None, :]
@@ -205,13 +170,14 @@ def _grouped_problem(S, deltas, lambdas, positive=False):
         raise ValueError("lambdas must be finite")
     if np.any(lam <= 0 if positive else lam < 0):
         raise ValueError("lambdas must be positive" if positive else "lambdas must be nonnegative")
-    return Smat, G, lam
+    return S, G, lam
 
 
-def _proximal_gradient(Smat, G, lam, opts):
+def _proximal_gradient(S, G, lam, opts):
     """Accelerated proximal gradient on the p x K' grouped problem.
 
-    Returns the p x K' solution and its SolverReport.
+    The step is 1/L with L the exact top eigenvalue of S. Returns the
+    p x K' solution and its SolverReport.
     """
     scale = max(float(np.abs(G).max(initial=0.0)), float(lam.max(initial=0.0)))
     if scale == 0.0:
@@ -219,32 +185,25 @@ def _proximal_gradient(Smat, G, lam, opts):
     Gs = G / scale
     ls = lam / scale
 
-    L = lipschitz_upper(Smat)
+    L = max(S.top_eigenvalue, np.finfo(float).eps)
     kkt_exit = _kkt_exit(opts)
     x = np.zeros_like(Gs)
     y = x
     t = 1.0
-    fx = _grouped_objective(Smat, x, Gs, ls)
+    fx = _grouped_objective(S, x, Gs, ls)
     trace = [fx]
     stall = 0
     converged = False
     iterations = 0
     for m in range(1, opts.max_iter + 1):
         iterations = m
-        z = y - (Smat @ y - Gs) / L
-        xn = _prox_rows(z, ls / L)
-        fn = _grouped_objective(Smat, xn, Gs, ls)
+        xn = _prox_rows(y - (S.dot(y) - Gs) / L, ls / L)
+        fn = _grouped_objective(S, xn, Gs, ls)
         if fn > fx:
+            # restart: a proximal step from x with the exact L cannot increase f
             t = 1.0
-            guard = 0
-            while True:
-                z = x - (Smat @ x - Gs) / L
-                xn = _prox_rows(z, ls / L)
-                fn = _grouped_objective(Smat, xn, Gs, ls)
-                if fn <= fx + 1e-15 * max(1.0, abs(fx)) or guard >= 60:
-                    break
-                L *= 2.0  # Lipschitz estimate was too small
-                guard += 1
+            xn = _prox_rows(x - (S.dot(x) - Gs) / L, ls / L)
+            fn = _grouped_objective(S, xn, Gs, ls)
         tn = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
         y = xn + ((t - 1.0) / tn) * (xn - x)
         rel = abs(fn - fx) / max(1.0, abs(fx), abs(fn))
@@ -252,12 +211,12 @@ def _proximal_gradient(Smat, G, lam, opts):
         x, fx, t = xn, fn, tn
         trace.append(fx)
         if stall >= 2 or m % 25 == 0:
-            if _grouped_kkt(Smat, x, Gs, ls) <= kkt_exit:
+            if _grouped_kkt(S, x, Gs, ls) <= kkt_exit:
                 converged = True
                 break
             stall = 0
 
-    kkt_scaled = _grouped_kkt(Smat, x, Gs, ls)
+    kkt_scaled = _grouped_kkt(S, x, Gs, ls)
     converged = converged or kkt_scaled <= _KKT_CONVERGED
     report = SolverReport(
         iterations=iterations,
@@ -273,9 +232,11 @@ def fit_grouped(S, deltas, lambdas, opts=None):
 
     Minimizes sum_k 0.5 b_k' S b_k - delta_k' b_k + sum_j lam_j ||row_j||
     over the p x (K-1) direction matrix. Accelerated proximal gradient
-    with momentum t_{m+1} = (1 + sqrt(1 + 4 t_m^2)) / 2; on an objective
-    increase the momentum is reset and the step recomputed from the last
-    iterate, which keeps the recorded objective trace monotone.
+    with momentum t_{m+1} = (1 + sqrt(1 + 4 t_m^2)) / 2 and step 1/L, where
+    L is the exact top eigenvalue of S. On an objective increase the
+    momentum is reset and one proximal step is taken from the last iterate;
+    with the exact L that step does not increase the objective, so the
+    recorded objective trace is monotone.
 
     Returns (DirectionSet, SolverReport). A run that exhausts max_iter is
     returned with converged=False rather than raising.
@@ -306,8 +267,8 @@ def fit_lpd(S, delta, lam):
 
     Raises LpInfeasibleError when the constraint set is empty.
     """
-    Smat, G, lam = _grouped_problem(S, np.reshape(delta, (1, -1)), lam, positive=True)
-    p = Smat.shape[0]
+    S, G, lam = _grouped_problem(S, np.reshape(delta, (1, -1)), lam, positive=True)
+    p, F = S.p, S.factor
     d = G[:, 0]
 
     active = np.abs(d) > lam
@@ -316,7 +277,7 @@ def fit_lpd(S, delta, lam):
     c = np.ones(2 * p)
     for _ in range(p + 1):
         idx = np.flatnonzero(active)
-        rows = Smat[idx]
+        rows = F[:, idx].T @ F
         A = np.vstack([np.hstack([rows, -rows]), np.hstack([-rows, rows])])
         b = np.concatenate([lam[idx] + d[idx], lam[idx] - d[idx]])
         try:
@@ -324,7 +285,7 @@ def fit_lpd(S, delta, lam):
         except LpInfeasibleError:
             raise LpInfeasibleError("LPD infeasible at this lambda") from None
         beta = x[:p] - x[p:]
-        viol = (np.abs(Smat @ beta - d) > lam + 1e-9) & ~active
+        viol = (np.abs(S.dot(beta) - d) > lam + 1e-9) & ~active
         if not viol.any():
             return beta
         active |= viol
@@ -343,7 +304,7 @@ def fit_directions(estimator, S, deltas, lam):
     if estimator == "grouped":
         ds, report = fit_grouped(S, deltas, lam)
         return ds, [report]
-    _, G, _ = _grouped_problem(S, deltas, lam)
+    S, G, _ = _grouped_problem(S, deltas, lam)
     if estimator == "single":
         fits = [fit_single_lasso(S, delta, lam) for delta in G.T]
         return DirectionSet(np.column_stack([b for b, _ in fits])), [r for _, r in fits]
@@ -386,21 +347,24 @@ def kkt_residual(S, deltas, lambdas, ds: DirectionSet) -> float:
     For zero rows: (||row_j of (S Phi - D)|| - lam_j)_+ ; for active rows
     the norm of the full stationarity expression.
     """
-    Smat, G, lam = _grouped_problem(S, deltas, lambdas)
+    S, G, lam = _grouped_problem(S, deltas, lambdas)
     if ds.matrix.shape != G.shape:
         raise ValueError("direction set shape does not match deltas")
-    return _grouped_kkt(Smat, ds.matrix, G, lam)
+    return _grouped_kkt(S, ds.matrix, G, lam)
 
 
 def oracle_restricted_fit(S, delta, support) -> np.ndarray:
     """Solve the scatter system restricted to a known support, zero elsewhere."""
-    Smat, G, _ = _grouped_problem(S, np.reshape(delta, (1, -1)), 0.0)
+    S, G, _ = _grouped_problem(S, np.reshape(delta, (1, -1)), 0.0)
     d = G[:, 0]
     idx = np.asarray(sorted(support), dtype=int)
     beta = np.zeros(d.size)
     if idx.size == 0:
         return beta
-    block = Smat[np.ix_(idx, idx)]
+    if idx[0] < 0 or idx[-1] >= d.size:
+        raise ValueError("support indices must lie in 0..p-1")
+    Fi = S.factor[:, idx]
+    block = Fi.T @ Fi
     if np.linalg.cond(block) >= 1e12:
         raise np.linalg.LinAlgError("restricted scatter block is singular")
     beta[idx] = np.linalg.solve(block, d[idx])

@@ -1,4 +1,6 @@
+import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -193,6 +195,17 @@ def test_truth_file_round_trip(tmp_path):
     path = tmp_path / "truth.json"
     io.write_truth_file(path, payload)
     assert io.read_truth_file(path) == payload
+
+
+def test_written_files_honour_the_umask(tmp_path):
+    for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+        path = tmp_path / f"d{umask:o}.csv"
+        old = os.umask(umask)
+        try:
+            io.write_dataset_csv(path, np.eye(2), [1, 2])
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
 
 
 def test_atomic_write_leaves_no_temp(tmp_path):

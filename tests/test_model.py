@@ -4,10 +4,12 @@ import pytest
 from glda.model import (
     Dataset,
     DirectionSet,
+    PooledScatter,
     group_norms,
     pooled_scatter,
     summarize,
 )
+from glda.simulate import sample, sim1_spec
 
 
 def two_class_1d():
@@ -112,6 +114,20 @@ def test_pooled_scatter_invariant_under_class_relabeling():
     d2 = Dataset(X, np.array([swap[v] for v in y]))
     S2 = pooled_scatter(d2, summarize(d2))
     assert np.allclose(S1.matrix, S2.matrix, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, p", [(6, 10), (10, 6)])
+def test_top_eigenvalue_is_exact_for_either_factor_shape(n, p):
+    F = np.random.default_rng(n).normal(size=(n, p))
+    S = PooledScatter(factor=F, dof=1)
+    assert S.top_eigenvalue == pytest.approx(np.linalg.eigvalsh(S.matrix)[-1], rel=1e-12)
+
+
+def test_top_eigenvalue_on_sim1_seed3():
+    # a 50-step power iteration reached only 0.986 of this value
+    d = sample(sim1_spec(3))
+    S = pooled_scatter(d, summarize(d))
+    assert S.top_eigenvalue == pytest.approx(np.linalg.eigvalsh(S.matrix)[-1], rel=1e-12)
 
 
 def test_deltas_are_exact_mean_differences():

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glda.model import DirectionSet, PooledScatter
+from glda.classify import pseudoinverse_lda_fit
+from glda.model import Dataset, DirectionSet, PooledScatter, pooled_scatter, summarize
 from glda.solvers import (
     LpInfeasibleError,
     SolverOptions,
@@ -16,7 +17,6 @@ from glda.solvers import (
     group_prox,
     hard_threshold,
     kkt_residual,
-    lipschitz_upper,
     oracle_restricted_fit,
     pi_bar_from_priors,
     theoretical_lambda,
@@ -87,25 +87,20 @@ def test_prox_nonexpansive(xs, ys, lam):
     assert d_out <= d_in + 1e-12
 
 
-# --- lipschitz_upper ----------------------------------------------------
-
-
-def test_lipschitz_examples():
-    # 1.05 times the top eigenvalue
-    assert lipschitz_upper(np.eye(3)) == pytest.approx(1.05, abs=1e-9)
-    assert lipschitz_upper(np.diag([1.0, 4.0])) == pytest.approx(1.05 * 4.0, abs=1e-9)
-    assert lipschitz_upper(np.array([[2.0, 1.0], [1.0, 2.0]])) == pytest.approx(
-        1.05 * 3.0, abs=1e-9
-    )
-
-
-def test_lipschitz_floor_and_boost():
-    assert lipschitz_upper(np.zeros((3, 3))) > 0
-    a = lipschitz_upper(np.eye(2))
-    assert a == pytest.approx(1.05, rel=1e-9)
-
-
 # --- fit_grouped --------------------------------------------------------
+
+
+def test_grouped_zero_scatter_above_delta_norm():
+    # the top eigenvalue is 0, so the step is floored at machine epsilon
+    D = np.array([[1.0, -2.0]])
+    ds, rep = fit_grouped(np.zeros((2, 2)), D, np.linalg.norm(D))
+    assert np.all(ds.matrix == 0.0)
+    assert rep.converged
+
+
+def test_fits_reject_indefinite_scatter():
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        fit_grouped(np.diag([1.0, -1.0]), [[1.0, 1.0]], 0.1)
 
 
 def test_grouped_zero_above_lambda_max():
@@ -240,7 +235,7 @@ def test_grouped_nonconverged_is_returned():
 
 
 def test_accepts_pooled_scatter_type():
-    S = PooledScatter(matrix=np.eye(2), dof=5)
+    S = PooledScatter(factor=np.eye(2), dof=5)
     ds, _ = fit_grouped(S, np.array([[1.0, 0.0]]), 0.0)
     assert np.allclose(ds.matrix[:, 0], [1.0, 0.0], atol=1e-8)
 
@@ -468,6 +463,26 @@ def test_oracle_restricted_hand_solve():
     S = np.array([[2.0, 1.0], [1.0, 2.0]])
     beta = oracle_restricted_fit(S, np.array([3.0, 3.0]), [0, 1])
     assert np.allclose(beta, [1.0, 1.0])
+
+
+def test_oracle_restricted_rejects_support_outside_features():
+    for support in ([-1], [3]):
+        with pytest.raises(ValueError, match="support indices"):
+            oracle_restricted_fit(np.eye(3), np.array([1.0, 2.0, 3.0]), support)
+
+
+def test_fits_on_pooled_scatter_never_form_the_matrix():
+    rng = np.random.default_rng(8)
+    d = Dataset(rng.normal(size=(30, 8)), np.array([1, 2, 3] * 10))
+    cs = summarize(d)
+    S = pooled_scatter(d, cs)
+    lam = 0.5 * float(np.abs(cs.deltas).max())
+    for estimator in ("grouped", "single", "lpd"):
+        ds, _ = fit_directions(estimator, S, cs.deltas, lam)
+    pseudoinverse_lda_fit(S, cs)
+    kkt_residual(S, cs.deltas, lam, ds)
+    oracle_restricted_fit(S, cs.deltas[0], [0, 3])
+    assert "matrix" not in vars(S)
 
 
 def test_oracle_restricted_singular_block():
