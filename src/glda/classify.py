@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ClassSummaries, Dataset, DirectionSet, as_scatter, summarize
+from .model import NULL_CUT, ClassSummaries, Dataset, DirectionSet, as_scatter, summarize
 
 __all__ = [
     "ClassifierModel",
@@ -190,12 +190,12 @@ def pseudoinverse_lda_fit(S, cs: ClassSummaries) -> DirectionSet:
     """Directions from the Moore-Penrose pseudo-inverse of the pooled scatter.
 
     Uses the thin SVD F = U diag(s) V' of the scatter's factor, so S = V
-    diag(s^2) V'. Eigenvalues s^2 below 1e-10 times the largest are treated
-    as zero.
+    diag(s^2) V'. Eigenvalues s^2 at most NULL_CUT (1e-10) times the
+    largest are treated as zero.
     """
     _, s, Vt = np.linalg.svd(as_scatter(S).factor, full_matrices=False)
     w = s * s
-    keep = w > 1e-10 * w.max(initial=0.0)
+    keep = w > NULL_CUT * w.max(initial=0.0)
     Vk = Vt[keep]
     B = Vk.T @ ((Vk @ cs.deltas.T) / w[keep, None])
     return DirectionSet(B)

@@ -68,14 +68,21 @@ def _grid_for(args, deltas):
     return lambda_grid(lambda_max(deltas), 50, 3.0)
 
 
+_NOCONV_REASONS = {
+    "unbounded": "unbounded (no finite minimiser at this lambda)",
+    "max_iter": "max_iter (iteration budget exhausted)",
+}
+
+
 def _check_converged(estimator, reports, strict):
-    """Under --strict, a proximal-gradient fit that did not converge is an error."""
+    """Under --strict, a proximal-gradient fit that did not end optimal is an error."""
     if not strict:
         return
     for k, rep in enumerate(reports):
         if not rep.converged:
             which = "grouped solver" if estimator == "grouped" else f"single-direction solver {k + 1}"
-            raise CommandError(EXIT_NOCONV, f"{which} did not converge")
+            reason = _NOCONV_REASONS[rep.status]
+            raise CommandError(EXIT_NOCONV, f"{which} did not converge: {reason}")
 
 
 def cmd_fit(args):
@@ -107,6 +114,7 @@ def cmd_fit(args):
                 lines.append(
                     f"solver {args.estimator}{which} iterations {rep.iterations}"
                     f" converged {str(rep.converged).lower()} kkt {rep.kkt_residual:.3e}"
+                    f" status {rep.status}"
                 )
     ds = hard_threshold(ds, args.zeta)
     model = build_model(cs, ds)
@@ -152,9 +160,11 @@ def cmd_path(args):
     S = pooled_scatter(data, cs)
     grid = _grid_for(args, cs.deltas)
     lines = ["lambda,direction,feature,coefficient,group_norm"]
+    statuses = []
     for lam in grid.values:
         ds, reports = fit_directions(args.estimator, S, cs.deltas, float(lam))
         _check_converged(args.estimator, reports, args.strict)
+        statuses += [rep.status for rep in reports] or ["optimal"] * ds.n_directions
         norms = group_norms(ds)
         for k in range(ds.n_directions):
             col = ds.column(k)
@@ -163,6 +173,11 @@ def cmd_path(args):
                     f"{io.fmt(lam)},{k + 1},{j + 1},{io.fmt(col[j])},{io.fmt(norms[j])}"
                 )
     io.atomic_write_text(args.out, "\n".join(lines) + "\n")
+    print(
+        f"path: {len(statuses)} fits, {statuses.count('max_iter')} max_iter,"
+        f" {statuses.count('unbounded')} unbounded",
+        file=sys.stderr,
+    )
     print(f"written {args.out}")
     return EXIT_OK
 

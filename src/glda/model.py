@@ -22,6 +22,11 @@ __all__ = [
 ]
 
 
+# Eigenvalues of the scatter at most this fraction of the largest are
+# treated as zero (its null space, and the pseudo-inverse's cut).
+NULL_CUT = 1e-10
+
+
 def _frozen(a, dtype=float):
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
@@ -135,11 +140,41 @@ class PooledScatter:
         return S
 
     @cached_property
-    def top_eigenvalue(self):
-        """Largest eigenvalue of S, from the Gram matrix of F's shorter side."""
+    def _gram_eigh(self):
+        """eigh of the Gram matrix of F's shorter side (F F' if N <= p, else F'F = S).
+
+        Both share S's nonzero eigenvalues. Returns (w, U, keep), with
+        ``keep`` marking the eigenvalues above the numerical-zero cut.
+        """
         F = self.factor
-        gram = F @ F.T if F.shape[0] <= F.shape[1] else F.T @ F
-        return float(np.linalg.eigvalsh(gram)[-1])
+        w, U = np.linalg.eigh(F @ F.T if F.shape[0] <= F.shape[1] else F.T @ F)
+        return w, U, w > NULL_CUT * max(w[-1], 0.0)
+
+    @property
+    def top_eigenvalue(self):
+        """Largest eigenvalue of S."""
+        return float(self._gram_eigh[0][-1])
+
+    @property
+    def has_null_space(self):
+        """Whether S has an eigenvalue at or below the numerical-zero cut."""
+        return int(np.count_nonzero(self._gram_eigh[2])) < self.p
+
+    def null_project(self, D):
+        """Orthogonal projection of the p x m matrix D onto the null space of S.
+
+        Eigenvalues of S at most NULL_CUT times the largest count as zero.
+        For N <= p this is D - F'U diag(1/w) U'(F D) over the kept
+        eigenpairs, at O(N p m); for N > p it is V0 V0' D with V0 the
+        eigenvectors of the cut eigenvalues.
+        """
+        w, U, keep = self._gram_eigh
+        F = self.factor
+        if F.shape[0] <= F.shape[1]:
+            Uk = U[:, keep]
+            return D - F.T @ (Uk @ ((Uk.T @ (F @ D)) / w[keep, None]))
+        V0 = U[:, ~keep]
+        return V0 @ (V0.T @ D)
 
     def dot(self, X):
         """S @ X through the factor."""
@@ -213,6 +248,9 @@ def as_scatter(S) -> PooledScatter:
     """A PooledScatter as it is, or a square PSD array factored once with eigh.
 
     A square array is symmetrised first; its dof is unknown and set to 1.
+    Eigenvalues within NULL_CUT of the largest around zero are set to zero,
+    so the factor's null space is the scatter's; a more negative one is
+    rejected.
     """
     if isinstance(S, PooledScatter):
         return S
@@ -220,9 +258,10 @@ def as_scatter(S) -> PooledScatter:
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
         raise ValueError("scatter must be a non-empty square matrix")
     w, V = np.linalg.eigh((M + M.T) / 2.0)
-    if w[0] < -1e-10 * w[-1]:
+    if w[0] < -NULL_CUT * w[-1]:
         raise ValueError("scatter must be positive semidefinite")
-    return PooledScatter(factor=(V * np.sqrt(np.maximum(w, 0.0))).T, dof=1)
+    w = np.where(w > NULL_CUT * w[-1], w, 0.0)
+    return PooledScatter(factor=(V * np.sqrt(w)).T, dof=1)
 
 
 def group_norms(ds: DirectionSet) -> np.ndarray:

@@ -18,11 +18,11 @@ diagnostics and the support-restricted oracle fit.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import DirectionSet, as_scatter
+from .model import NULL_CUT, DirectionSet, as_scatter
 from .simplex import LpInfeasibleError, LpNumericalError, solve_inequality_lp
 
 __all__ = [
@@ -47,6 +47,12 @@ __all__ = [
 # tighter tol buys a tighter solution.
 _KKT_CONVERGED = 1e-5
 
+# A projected ray certifies an unbounded objective when its gain per unit
+# norm exceeds this fraction of ||G||, the largest gain any unit ray can have.
+_RAY_GAIN = 1e-9
+
+STATUSES = ("optimal", "max_iter", "unbounded")
+
 
 def _kkt_exit(opts):
     return max(100.0 * opts.tol, 1e-13)
@@ -68,10 +74,20 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class SolverReport:
+    """How a proximal-gradient fit ended.
+
+    ``status`` is ``optimal`` (KKT residual within tolerance), ``max_iter``
+    (the iteration budget ran out first) or ``unbounded`` (no finite
+    minimiser). An unbounded report carries ``ray``: a unit-norm direction
+    d, shaped like the coefficients, with S d = 0 along which the objective
+    falls without bound. Every other report has ``ray`` None.
+    """
+
     iterations: int
     objective_trace: np.ndarray
     kkt_residual: float
-    converged: bool
+    status: str
+    ray: np.ndarray | None = None
 
     def __post_init__(self):
         trace = np.asarray(self.objective_trace, dtype=float)
@@ -80,6 +96,18 @@ class SolverReport:
             raise ValueError("objective increased over the run")
         if self.kkt_residual < 0:
             raise ValueError("kkt_residual must be nonnegative")
+        if self.status not in STATUSES:
+            raise ValueError(f"unknown solver status {self.status!r}")
+        if (self.ray is None) == (self.status == "unbounded"):
+            raise ValueError("a ray comes with the unbounded status and only with it")
+        if self.ray is not None:
+            ray = np.array(self.ray, dtype=float)
+            ray.setflags(write=False)
+            object.__setattr__(self, "ray", ray)
+
+    @property
+    def converged(self):
+        return self.status == "optimal"
 
 
 @dataclass(frozen=True)
@@ -173,27 +201,57 @@ def _grouped_problem(S, deltas, lambdas, positive=False):
     return S, G, lam
 
 
+def _recession_ray(S, G, lam, *candidates):
+    """A unit-norm d with S d = 0 and positive gain, or None.
+
+    Each p x K' candidate is projected onto the null space of S. Along s d
+    the objective changes by -s (<G, d> - sum_j lam_j ||d_j||), so a gain
+    above _RAY_GAIN ||G|| proves it unbounded below. A projection is kept
+    only if d'Sd is at most NULL_CUT times the top eigenvalue: a candidate
+    with no null-space component projects to rounding noise, which is not.
+    """
+    k = G.shape[1]
+    P = S.null_project(np.hstack(candidates))
+    FP = S.factor @ P
+    floor = _RAY_GAIN * float(np.linalg.norm(G))
+    for i in range(len(candidates)):
+        cols = slice(i * k, (i + 1) * k)
+        n = float(np.linalg.norm(P[:, cols]))
+        if n == 0.0 or np.sum(FP[:, cols] ** 2) > NULL_CUT * S.top_eigenvalue * n * n:
+            continue
+        d = P[:, cols] / n
+        if float(np.sum(G * d)) - float(lam @ _row_norms(d)) > floor:
+            return d
+    return None
+
+
 def _proximal_gradient(S, G, lam, opts):
     """Accelerated proximal gradient on the p x K' grouped problem.
 
-    The step is 1/L with L the exact top eigenvalue of S. Returns the
-    p x K' solution and its SolverReport.
+    The step is 1/L with L the exact top eigenvalue of S. When S is
+    singular, every 25th iteration that does not exit on its KKT residual
+    projects the iterate, and the step since the last such checkpoint,
+    onto the null space of S; a projection with positive gain ends the run
+    as ``unbounded`` at that iterate. Returns the p x K' solution and its
+    SolverReport.
     """
     scale = max(float(np.abs(G).max(initial=0.0)), float(lam.max(initial=0.0)))
     if scale == 0.0:
-        return np.zeros_like(G), SolverReport(0, np.zeros(1), 0.0, True)
+        return np.zeros_like(G), SolverReport(0, np.zeros(1), 0.0, "optimal")
     Gs = G / scale
     ls = lam / scale
 
     L = max(S.top_eigenvalue, np.finfo(float).eps)
     kkt_exit = _kkt_exit(opts)
+    rays = S.has_null_space
     x = np.zeros_like(Gs)
+    x_check = x
     y = x
     t = 1.0
     fx = _grouped_objective(S, x, Gs, ls)
     trace = [fx]
     stall = 0
-    converged = False
+    status, ray = "max_iter", None
     iterations = 0
     for m in range(1, opts.max_iter + 1):
         iterations = m
@@ -212,17 +270,25 @@ def _proximal_gradient(S, G, lam, opts):
         trace.append(fx)
         if stall >= 2 or m % 25 == 0:
             if _grouped_kkt(S, x, Gs, ls) <= kkt_exit:
-                converged = True
+                status = "optimal"
                 break
             stall = 0
+            if rays and m % 25 == 0:
+                ray = _recession_ray(S, Gs, ls, x, x - x_check)
+                if ray is not None:
+                    status = "unbounded"
+                    break
+                x_check = x
 
     kkt_scaled = _grouped_kkt(S, x, Gs, ls)
-    converged = converged or kkt_scaled <= _KKT_CONVERGED
+    if status == "max_iter" and kkt_scaled <= _KKT_CONVERGED:
+        status = "optimal"
     report = SolverReport(
         iterations=iterations,
         objective_trace=np.asarray(trace) * scale * scale,
         kkt_residual=kkt_scaled * scale,
-        converged=converged,
+        status=status,
+        ray=ray,
     )
     return x * scale, report
 
@@ -238,8 +304,10 @@ def fit_grouped(S, deltas, lambdas, opts=None):
     with the exact L that step does not increase the objective, so the
     recorded objective trace is monotone.
 
-    Returns (DirectionSet, SolverReport). A run that exhausts max_iter is
-    returned with converged=False rather than raising.
+    Returns (DirectionSet, SolverReport). Neither a run that exhausts
+    max_iter nor one certified unbounded raises: the report's status says
+    which, and an unbounded run returns the finite iterate at which the
+    certificate was found, with the certifying ray on its report.
     """
     X, report = _proximal_gradient(*_grouped_problem(S, deltas, lambdas), opts or SolverOptions())
     return DirectionSet(X), report
@@ -249,10 +317,13 @@ def fit_single_lasso(S, delta, lam, opts=None):
     """Fit one direction: minimize 0.5 b'Sb - delta'b + lam |b|_1.
 
     This is the grouped problem with a single direction, whose row norms
-    are |b_j|. Returns (vector, report).
+    are |b_j|. Returns (vector, report); an unbounded report's ray is a
+    vector too.
     """
     problem = _grouped_problem(S, np.reshape(delta, (1, -1)), lam)
     X, report = _proximal_gradient(*problem, opts or SolverOptions())
+    if report.ray is not None:
+        report = replace(report, ray=report.ray[:, 0])
     return X[:, 0], report
 
 

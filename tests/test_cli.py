@@ -141,6 +141,59 @@ def test_fit_strict_nonconvergence_exit3(tmp_path):
     assert code == 3
 
 
+def _unbounded_at_zero_penalty(tmp_path):
+    # the instance above: at lam=0 the grouped objective has no finite minimiser
+    rng = np.random.default_rng(0)
+    train = tmp_path / "train.csv"
+    io.write_dataset_csv(train, rng.normal(size=(5, 6)), np.array([1, 1, 2, 2, 3]))
+    return train
+
+
+def test_fit_strict_names_the_unbounded_status(tmp_path, capsys):
+    train = _unbounded_at_zero_penalty(tmp_path)
+    model = tmp_path / "m.txt"
+    for est in ("grouped", "single"):
+        assert main(["fit", str(train), "--estimator", est, "--lambda", "0.0", "--strict",
+                     "--out", str(model)]) == 3
+        assert "did not converge: unbounded" in capsys.readouterr().err
+        assert not model.exists()
+
+
+def test_strict_names_the_max_iter_status():
+    from glda.cli import CommandError, _check_converged
+    from glda.solvers import SolverReport
+
+    rep = SolverReport(5000, np.zeros(2), 1.0, "max_iter")
+    _check_converged("grouped", [rep], strict=False)
+    with pytest.raises(CommandError, match="did not converge: max_iter") as exc:
+        _check_converged("grouped", [rep], strict=True)
+    assert exc.value.code == 3
+
+
+def test_fit_unbounded_without_strict_writes_a_finite_model(tmp_path, capsys):
+    train = _unbounded_at_zero_penalty(tmp_path)
+    model = tmp_path / "m.txt"
+    assert main(["fit", str(train), "--lambda", "0.0", "--out", str(model)]) == 0
+    out = capsys.readouterr().out
+    solver = [ln for ln in out.splitlines() if ln.startswith("solver grouped")]
+    assert len(solver) == 1
+    assert " converged false kkt " in solver[0] and solver[0].endswith(" status unbounded")
+    loaded, _ = io.read_model_file(model)
+    assert np.all(np.isfinite(loaded.directions.matrix))
+
+
+def test_path_reports_fit_statuses_on_stderr(tmp_path, capsys):
+    train = _unbounded_at_zero_penalty(tmp_path)
+    out = tmp_path / "path.csv"
+    assert main(["path", str(train), "--lambda-grid", "1.0:5:2.0", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"written {out}\n"
+    assert captured.err == "path: 5 fits, 0 max_iter, 4 unbounded\n"
+    rows = out.read_text().strip().split("\n")[1:]
+    assert len(rows) == 5 * 2 * 6
+    assert all(np.isfinite(float(v)) for r in rows for v in r.split(","))
+
+
 def test_fit_lpd_infeasible_exit4(tmp_path):
     rng = np.random.default_rng(1)
     X = rng.normal(size=(6, 8))

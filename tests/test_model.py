@@ -5,6 +5,7 @@ from glda.model import (
     Dataset,
     DirectionSet,
     PooledScatter,
+    as_scatter,
     group_norms,
     pooled_scatter,
     summarize,
@@ -128,6 +129,33 @@ def test_top_eigenvalue_on_sim1_seed3():
     d = sample(sim1_spec(3))
     S = pooled_scatter(d, summarize(d))
     assert S.top_eigenvalue == pytest.approx(np.linalg.eigvalsh(S.matrix)[-1], rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", ["n<p", "n>p", "square"])
+def test_null_projection_annihilates_the_factor_and_is_idempotent(shape):
+    rng = np.random.default_rng(1)
+    if shape == "n<p":
+        S, nullity = PooledScatter(factor=rng.normal(size=(6, 10)), dof=1), 4
+    elif shape == "n>p":
+        F = rng.normal(size=(10, 4)) @ rng.normal(size=(4, 6))
+        S, nullity = PooledScatter(factor=F, dof=1), 2
+    else:
+        A = rng.normal(size=(3, 7))
+        S, nullity = as_scatter(A.T @ A), 4
+    D = rng.normal(size=(S.p, 3))
+    P = S.null_project(D)
+    assert S.has_null_space
+    assert np.linalg.norm(S.factor @ P) <= 1e-10 * np.sqrt(S.top_eigenvalue) * np.linalg.norm(D)
+    assert np.allclose(S.null_project(P), P, rtol=0.0, atol=1e-10 * np.linalg.norm(D))
+    # an orthogonal projector onto a space of the right dimension, not just 0
+    assert np.trace(S.null_project(np.eye(S.p))) == pytest.approx(nullity)
+    assert np.allclose(P, D - np.linalg.pinv(S.matrix) @ (S.matrix @ D), atol=1e-8)
+
+
+def test_full_rank_scatter_has_no_null_space():
+    S = PooledScatter(factor=np.random.default_rng(5).normal(size=(10, 6)), dof=1)
+    assert not S.has_null_space
+    assert np.all(S.null_project(np.ones((6, 2))) == 0.0)
 
 
 def test_deltas_are_exact_mean_differences():

@@ -232,6 +232,7 @@ def test_grouped_nonconverged_is_returned():
     assert ds.matrix.shape == (6, 2)
     assert rep.iterations == 3
     assert not rep.converged
+    assert rep.status == "max_iter" and rep.ray is None
 
 
 def test_accepts_pooled_scatter_type():
@@ -491,12 +492,142 @@ def test_oracle_restricted_singular_block():
         oracle_restricted_fit(S, np.array([1.0, 2.0]), [0, 1])
 
 
+# --- unbounded certificate ---------------------------------------------
+#
+# With p > N - K the scatter is singular and, below a data-dependent
+# penalty, the objective has no finite minimiser. The LPD threshold
+# lam*_k = min_b |S b - delta_k|_inf brackets the grouped one between
+# max_k lam*_k and sqrt(K') max_k lam*_k, and is exactly the single one.
+
+
+def _lp_threshold(S, delta):
+    from scipy.optimize import linprog
+
+    M, p = S.matrix, S.p
+    one = np.ones((p, 1))
+    res = linprog(
+        np.r_[np.zeros(p), 1.0],
+        A_ub=np.block([[M, -one], [-M, -one]]),
+        b_ub=np.r_[delta, -delta],
+        bounds=[(None, None)] * p + [(0.0, None)],
+        method="highs",
+    )
+    assert res.status == 0
+    return float(res.fun)
+
+
+@pytest.fixture(scope="module", params=["sim1-0", "sim1-1", "sim1-2", "random"])
+def singular_problem(request):
+    """(S, deltas, per-contrast LP thresholds) on a problem with p > N - K."""
+    from glda.simulate import sample, sim1_spec
+
+    if request.param == "random":
+        rng = np.random.default_rng(3)
+        d = Dataset(rng.normal(size=(12, 15)), np.array([1, 2, 3] * 4))
+    else:
+        d = sample(sim1_spec(int(request.param[-1])))
+    cs = summarize(d)
+    S = pooled_scatter(d, cs)
+    assert S.p > S.dof
+    return S, cs.deltas, np.array([_lp_threshold(S, dk) for dk in cs.deltas])
+
+
+def assert_certifying_ray(S, D, lam, X, ray):
+    """The ray is a unit null-space direction of positive gain along which f falls."""
+    ray = ray.reshape(X.shape)
+    assert np.linalg.norm(ray) == pytest.approx(1.0)
+    assert np.linalg.norm(S.factor @ ray) <= 1e-10 * np.sqrt(S.top_eigenvalue)
+    gain = np.sum(D.T * ray) - lam * np.sum(np.linalg.norm(ray, axis=1))
+    assert gain > 0
+    step = max(1.0, float(np.linalg.norm(X)))
+    f = [grouped_objective(S.matrix, D, lam, X + s * step * ray) for s in (0, 1, 10, 100, 1000)]
+    assert np.all(np.diff(f) < 0)
+
+
+def test_grouped_status_follows_the_lp_bracket(singular_problem):
+    S, D, thresholds = singular_problem
+    lower = thresholds.max()
+    upper = np.sqrt(D.shape[0]) * lower
+    for f in (0.1, 0.5, 0.9, 0.99):
+        ds, rep = fit_grouped(S, D, f * lower)
+        assert rep.status == "unbounded", f
+        assert np.all(np.isfinite(ds.matrix))
+        assert_certifying_ray(S, D, f * lower, ds.matrix, rep.ray)
+    for f in (1.01, 1.1, 2.0):
+        _, rep = fit_grouped(S, D, f * upper)
+        assert rep.status == "optimal", f
+        assert rep.ray is None
+
+
+def test_single_unbounded_exactly_when_lpd_infeasible(singular_problem):
+    S, D, thresholds = singular_problem
+    for delta, lam_star in zip(D, thresholds):
+        for f in (0.5, 0.99, 1.01, 1.5):
+            lam = f * lam_star
+            beta, rep = fit_single_lasso(S, delta, lam)
+            try:
+                fit_lpd(S, delta, lam)
+                infeasible = False
+            except LpInfeasibleError:
+                infeasible = True
+            assert infeasible == (f < 1)
+            assert (rep.status == "unbounded") == infeasible, f
+            if infeasible:
+                assert rep.ray.shape == beta.shape
+                assert_certifying_ray(S, delta[None, :], lam, beta[:, None], rep.ray)
+
+
+def test_unbounded_at_zero_penalty_stops_early():
+    # N - K = 2 with p = 6 and lam = 0: delta has a component in the null
+    # space of S, so the objective falls without bound
+    rng = np.random.default_rng(0)
+    d = Dataset(rng.normal(size=(5, 6)), np.array([1, 1, 2, 2, 3]))
+    cs = summarize(d)
+    S = pooled_scatter(d, cs)
+    ds, rep = fit_grouped(S, cs.deltas, 0.0)
+    assert rep.status == "unbounded" and rep.iterations == 25
+    assert_certifying_ray(S, cs.deltas, 0.0, ds.matrix, rep.ray)
+
+
+def test_singular_scatter_with_delta_in_its_range_is_bounded():
+    # at lam = 0 the iterates stay in the range of S, so their null-space
+    # projections are rounding noise and must not pass for a ray
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        S = PooledScatter(factor=rng.normal(size=(5, 20)), dof=1)
+        D = S.dot(rng.normal(size=(20, 2))).T
+        _, rep = fit_grouped(S, D, 0.0)
+        assert rep.status == "optimal", seed
+
+
+def test_full_rank_scatter_is_never_unbounded():
+    # a nonsingular S always has a finite minimiser: only the budget can stop it
+    rng = np.random.default_rng(9)
+    A = rng.normal(size=(10, 6))
+    _, rep = fit_grouped(A.T @ A / 10, rng.normal(size=(2, 6)), 0.0, SolverOptions(max_iter=60))
+    assert rep.status in ("optimal", "max_iter")
+
+
 # --- report invariants ---------------------------------------------------
 
 
 def test_report_rejects_increasing_objective():
     with pytest.raises(ValueError):
-        SolverReport(2, np.array([0.0, 1.0]), 0.0, True)
+        SolverReport(2, np.array([0.0, 1.0]), 0.0, "optimal")
+
+
+def test_report_status_and_ray_invariants():
+    assert SolverReport(1, np.zeros(2), 0.0, "optimal").converged
+    assert not SolverReport(1, np.zeros(2), 0.0, "max_iter").converged
+    ray = np.array([0.6, 0.8])
+    rep = SolverReport(1, np.zeros(2), 0.0, "unbounded", ray)
+    assert not rep.converged and not rep.ray.flags.writeable
+    with pytest.raises(ValueError, match="unknown solver status"):
+        SolverReport(1, np.zeros(2), 0.0, "converged")
+    with pytest.raises(ValueError, match="ray"):
+        SolverReport(1, np.zeros(2), 0.0, "optimal", ray)
+    with pytest.raises(ValueError, match="ray"):
+        SolverReport(1, np.zeros(2), 0.0, "unbounded")
 
 
 def test_options_validation():
