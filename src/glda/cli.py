@@ -2,8 +2,10 @@
 
 Every command is deterministic given its flags and seed; output files are
 written atomically. Exit codes: 0 success, 2 usage/parse errors, 3 solver
-non-convergence under --strict, 4 infeasible LPD, 5 a class smaller than
-the fold count, 6 model/data dimension mismatch.
+non-convergence (a fit not ending optimal under --strict, or an LPD simplex
+that ran out of pivots or whose constraint activation did not settle), 4
+infeasible LPD, 5 a class smaller than the fold count, 6 model/data
+dimension mismatch.
 """
 
 import argparse
@@ -32,7 +34,7 @@ from .simulate import (
     sim1_spec,
     sim2_spec,
 )
-from .solvers import LpInfeasibleError, fit_directions, hard_threshold
+from .solvers import LpInfeasibleError, LpNumericalError, fit_directions, hard_threshold
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -350,6 +352,9 @@ def main(argv=None) -> int:
     except LpInfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except LpNumericalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOCONV
     except FoldSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SMALL_CLASS

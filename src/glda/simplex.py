@@ -6,6 +6,10 @@ negative after orientation and minimizes their sum; phase 2 optimizes the
 real objective. Pricing uses Dantzig's rule (most negative reduced cost)
 and falls back to Bland's rule once the count of degenerate pivots exceeds
 ten times the row count, which rules out cycling.
+
+``LpInfeasibleError`` carries a ``ray`` attribute for callers that prove
+infeasibility by a certificate of their own (``solvers.fit_lpd`` passes
+its Farkas vector there); when phase 1 proved it, ``ray`` is None.
 """
 
 import numpy as np
@@ -18,7 +22,15 @@ _FEAS_TOL = 1e-8
 
 
 class LpInfeasibleError(Exception):
-    """The constraint set {x >= 0 : Ax <= b} is empty."""
+    """The constraint set {x >= 0 : Ax <= b} is empty.
+
+    ``ray`` is the certificate that proved it, or None when simplex phase 1
+    did (a phase-1 proof leaves no vector behind).
+    """
+
+    def __init__(self, message, ray=None):
+        super().__init__(message)
+        self.ray = ray
 
 
 class LpNumericalError(Exception):

@@ -9,7 +9,10 @@ Three routes to the discriminant directions:
   grouped problem with a single direction, so one-entry groups.
 * ``fit_lpd``       - one direction at a time, minimum l1 norm subject to an
   l-infinity residual box, solved as a linear program by the internal
-  dense simplex.
+  dense simplex. When S is singular an empty box is first looked for with
+  the ``single`` engine: its null-space ray is a Farkas certificate, and
+  the ``LpInfeasibleError`` it raises carries that ray as ``ray`` (None
+  when simplex phase 1 proved the box empty).
 
 ``fit_directions`` picks one of the three by name and fits all K-1
 directions. Plus the supporting pieces: the group proximal operator, hard
@@ -40,6 +43,7 @@ __all__ = [
     "kkt_residual",
     "oracle_restricted_fit",
     "LpInfeasibleError",
+    "LpNumericalError",
 ]
 
 # KKT residual (in units of the internal data scale) below which a run is
@@ -336,6 +340,14 @@ def fit_lpd(S, delta, lam):
     b = 0, re-solve, and add whatever the current iterate violates until
     the full constraint box holds, which yields the exact LP optimum.
 
+    By Farkas' lemma the box is empty exactly when some u with S u = 0 has
+    <delta, u> > lam |u|_1, which is the ray that certifies the ``single``
+    objective unbounded at the same lam. So when S is singular that fit
+    runs first, and an ``unbounded`` ending raises LpInfeasibleError with
+    the unit vector u as its ``ray``. Otherwise the simplex decides, and
+    an infeasibility its phase 1 proves raises with ``ray`` None. A
+    nonsingular S skips the pre-check: its box always holds S^-1 delta.
+
     Raises LpInfeasibleError when the constraint set is empty.
     """
     S, G, lam = _grouped_problem(S, np.reshape(delta, (1, -1)), lam, positive=True)
@@ -345,6 +357,10 @@ def fit_lpd(S, delta, lam):
     active = np.abs(d) > lam
     if not active.any():
         return np.zeros(p)
+    if S.has_null_space:
+        _, report = _proximal_gradient(S, G, lam, SolverOptions())
+        if report.status == "unbounded":
+            raise LpInfeasibleError("LPD infeasible at this lambda", ray=report.ray[:, 0])
     c = np.ones(2 * p)
     for _ in range(p + 1):
         idx = np.flatnonzero(active)

@@ -205,6 +205,24 @@ def test_fit_lpd_infeasible_exit4(tmp_path):
     assert code == 4
 
 
+def test_fit_lpd_simplex_failure_exit3(tmp_path, monkeypatch, capsys):
+    from glda import solvers
+    from glda.simplex import LpNumericalError
+
+    def fail(c, A, b):
+        raise LpNumericalError("simplex did not terminate within the pivot budget")
+
+    monkeypatch.setattr(solvers, "solve_inequality_lp", fail)
+    train = tmp_path / "train.csv"
+    write_training_csv(train)
+    out = tmp_path / "m.txt"
+    code = main(["fit", str(train), "--estimator", "lpd", "--lambda", "0.1", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "error: simplex did not terminate within the pivot budget\n"
+    assert not out.exists()
+
+
 def test_cv_outputs_and_tie_break(tmp_path):
     train = tmp_path / "train.csv"
     write_training_csv(train, seed=2)

@@ -3,8 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glda import solvers
 from glda.classify import pseudoinverse_lda_fit
-from glda.model import Dataset, DirectionSet, PooledScatter, pooled_scatter, summarize
+from glda.model import (
+    Dataset,
+    DirectionSet,
+    PooledScatter,
+    as_scatter,
+    pooled_scatter,
+    summarize,
+)
 from glda.solvers import (
     LpInfeasibleError,
     SolverOptions,
@@ -284,10 +292,75 @@ def test_lpd_diagonal_hand_case():
 
 
 def test_lpd_infeasible_raises():
-    # rank-1 scatter cannot push both coordinates to opposite signs
+    # rank-1 scatter cannot push both coordinates to opposite signs; the
+    # null-space vector (1, -1)/sqrt(2) proves it
     S = np.array([[1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(LpInfeasibleError, match="LPD infeasible"):
+    delta = np.array([2.0, -2.0])
+    with pytest.raises(LpInfeasibleError, match="LPD infeasible") as info:
+        fit_lpd(S, delta, 0.5)
+    ray = info.value.ray
+    assert_farkas_ray(as_scatter(S), delta, 0.5, ray)
+    assert np.allclose(ray, [np.sqrt(0.5), -np.sqrt(0.5)])
+
+
+def test_lpd_phase_one_backstops_a_max_iter_pre_check(monkeypatch):
+    calls = []
+
+    def budget_out(S, G, lam, opts):
+        calls.append(opts)
+        return np.zeros_like(G), SolverReport(opts.max_iter, np.zeros(1), 1.0, "max_iter")
+
+    monkeypatch.setattr(solvers, "_proximal_gradient", budget_out)
+    S = np.array([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(LpInfeasibleError, match="LPD infeasible") as info:
         fit_lpd(S, np.array([2.0, -2.0]), 0.5)
+    assert info.value.ray is None
+    assert calls == [SolverOptions()]
+
+
+def test_lpd_skips_the_pre_check_on_a_full_rank_scatter(monkeypatch):
+    calls = []
+    real = solvers._proximal_gradient
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solvers, "_proximal_gradient", spy)
+    S, D = _three_class_problem(34)
+    for delta in D:
+        assert np.any(fit_lpd(S, delta, 0.05) != 0.0)
+    assert calls == []
+
+
+def test_lpd_infeasible_exactly_below_the_lp_threshold_on_the_study_grid():
+    # the scipy LP threshold lam* = min_b |S b - delta|_inf is an oracle that
+    # shares nothing with the certificate: the box is empty exactly below it
+    from glda.select import lambda_grid
+    from glda.simulate import sample, sim1_spec
+
+    grid = lambda_grid(2.5, 14, 0.8).values
+    raised = feasible = 0
+    for seed in range(5):
+        d = sample(sim1_spec(seed))
+        cs = summarize(d)
+        S = pooled_scatter(d, cs)
+        for delta in cs.deltas:
+            lam_star = _lp_threshold(S, delta)
+            for lam in grid:
+                if abs(lam / lam_star - 1.0) < 1e-6:
+                    continue
+                try:
+                    beta = fit_lpd(S, delta, float(lam))
+                except LpInfeasibleError as exc:
+                    assert lam < lam_star, (seed, lam)
+                    assert_farkas_ray(S, delta, float(lam), exc.ray)
+                    raised += 1
+                else:
+                    assert lam > lam_star, (seed, lam)
+                    assert np.abs(S.dot(beta) - delta).max() <= lam + 1e-8
+                    feasible += 1
+    assert raised > 0 and feasible > 0
 
 
 def test_lpd_requires_positive_lambda():
@@ -542,6 +615,12 @@ def assert_certifying_ray(S, D, lam, X, ray):
     step = max(1.0, float(np.linalg.norm(X)))
     f = [grouped_objective(S.matrix, D, lam, X + s * step * ray) for s in (0, 1, 10, 100, 1000)]
     assert np.all(np.diff(f) < 0)
+
+
+def assert_farkas_ray(S, delta, lam, ray):
+    """A Farkas vector for an empty LPD box: a certifying ray of the single objective."""
+    assert ray is not None and ray.shape == delta.shape
+    assert_certifying_ray(S, delta[None, :], lam, np.zeros((delta.size, 1)), ray)
 
 
 def test_grouped_status_follows_the_lp_bracket(singular_problem):
