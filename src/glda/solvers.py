@@ -12,7 +12,9 @@ Three routes to the discriminant directions:
   dense simplex. When S is singular an empty box is first looked for with
   the ``single`` engine: its null-space ray is a Farkas certificate, and
   the ``LpInfeasibleError`` it raises carries that ray as ``ray`` (None
-  when simplex phase 1 proved the box empty).
+  when simplex phase 1 proved the box empty). Otherwise the simplex's
+  constraint activation starts from the rows violated at 0 plus the
+  support of that ``single`` fit.
 
 ``fit_directions`` picks one of the three by name and fits all K-1
 directions. Plus the supporting pieces: the group proximal operator, hard
@@ -50,6 +52,10 @@ __all__ = [
 # flagged converged; the early-exit threshold scales with opts.tol so a
 # tighter tol buys a tighter solution.
 _KKT_CONVERGED = 1e-5
+
+# A row whose norm is within this relative margin above its threshold is
+# snapped to zero, so penalties at exactly lambda_max produce exact zeros.
+_SNAP = 1.0 + 1e-12
 
 # A projected ray certifies an unbounded objective when its gain per unit
 # norm exceeds this fraction of ||G||, the largest gain any unit ray can have.
@@ -150,16 +156,22 @@ def group_prox(x, lam):
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    return _prox_rows(np.asarray(x, dtype=float)[None, :], np.array([lam], dtype=float))[0]
+    thr = np.array([lam], dtype=float)
+    return _prox_rows(np.asarray(x, dtype=float)[None, :], thr, thr * _SNAP)[0]
 
 
 def _row_norms(M):
-    return np.linalg.norm(M, axis=1)
+    """Euclidean norm of each row: np.linalg.norm(M, axis=1) without its dispatch.
+
+    The same squares are summed by the same reduction, so the bytes match.
+    """
+    return np.sqrt(np.add.reduce(M * M, axis=1))
 
 
 def _grouped_objective(S, X, G, lam):
     FX = S.factor @ X
-    return 0.5 * float(np.sum(FX * FX)) - float(np.sum(G * X)) + float(lam @ _row_norms(X))
+    fit = 0.5 * float(np.add.reduce(FX * FX, axis=None)) - float(np.add.reduce(G * X, axis=None))
+    return fit + float(lam @ _row_norms(X))
 
 
 def _grouped_kkt(S, X, G, lam):
@@ -173,12 +185,12 @@ def _grouped_kkt(S, X, G, lam):
     return float(out.max(initial=0.0))
 
 
-def _prox_rows(Z, thr):
-    # rows at the threshold boundary are snapped to zero (1e-12 relative
-    # margin) so penalties at exactly lambda_max produce exact zeros
+def _prox_rows(Z, thr, cut):
+    # group soft-threshold of each row at thr; rows with norm at most
+    # cut = thr * _SNAP are zeroed (callers compute cut once per threshold)
     nrm = _row_norms(Z)
     fac = np.zeros_like(nrm)
-    keep = nrm > thr * (1.0 + 1e-12)
+    keep = nrm > cut
     fac[keep] = (nrm[keep] - thr[keep]) / nrm[keep]
     return Z * fac[:, None]
 
@@ -246,6 +258,8 @@ def _proximal_gradient(S, G, lam, opts):
     ls = lam / scale
 
     L = max(S.top_eigenvalue, np.finfo(float).eps)
+    thr = ls / L
+    cut = thr * _SNAP
     kkt_exit = _kkt_exit(opts)
     rays = S.has_null_space
     x = np.zeros_like(Gs)
@@ -259,12 +273,12 @@ def _proximal_gradient(S, G, lam, opts):
     iterations = 0
     for m in range(1, opts.max_iter + 1):
         iterations = m
-        xn = _prox_rows(y - (S.dot(y) - Gs) / L, ls / L)
+        xn = _prox_rows(y - (S.dot(y) - Gs) / L, thr, cut)
         fn = _grouped_objective(S, xn, Gs, ls)
         if fn > fx:
             # restart: a proximal step from x with the exact L cannot increase f
             t = 1.0
-            xn = _prox_rows(x - (S.dot(x) - Gs) / L, ls / L)
+            xn = _prox_rows(x - (S.dot(x) - Gs) / L, thr, cut)
             fn = _grouped_objective(S, xn, Gs, ls)
         tn = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
         y = xn + ((t - 1.0) / tn) * (xn - x)
@@ -344,9 +358,14 @@ def fit_lpd(S, delta, lam):
     <delta, u> > lam |u|_1, which is the ray that certifies the ``single``
     objective unbounded at the same lam. So when S is singular that fit
     runs first, and an ``unbounded`` ending raises LpInfeasibleError with
-    the unit vector u as its ``ray``. Otherwise the simplex decides, and
-    an infeasibility its phase 1 proves raises with ``ray`` None. A
-    nonsingular S skips the pre-check: its box always holds S^-1 delta.
+    the unit vector u as its ``ray``. Any other ending also seeds the
+    activation: the rows of its support join the rows violated at 0. At a
+    lasso optimum those rows are tight, |S b - delta|_j = lam, which is
+    where the box binds; the seed only saves activation rounds, since the
+    loop still adds every row the LP solution breaks. The simplex then
+    decides, and an infeasibility its phase 1 proves raises with ``ray``
+    None. A nonsingular S skips the pre-check: its box always holds
+    S^-1 delta.
 
     Raises LpInfeasibleError when the constraint set is empty.
     """
@@ -358,9 +377,10 @@ def fit_lpd(S, delta, lam):
     if not active.any():
         return np.zeros(p)
     if S.has_null_space:
-        _, report = _proximal_gradient(S, G, lam, SolverOptions())
+        X, report = _proximal_gradient(S, G, lam, SolverOptions())
         if report.status == "unbounded":
             raise LpInfeasibleError("LPD infeasible at this lambda", ray=report.ray[:, 0])
+        active |= X[:, 0] != 0
     c = np.ones(2 * p)
     for _ in range(p + 1):
         idx = np.flatnonzero(active)

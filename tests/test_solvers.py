@@ -95,6 +95,20 @@ def test_prox_nonexpansive(xs, ys, lam):
     assert d_out <= d_in + 1e-12
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 9])
+def test_row_norms_match_numpy_norm_byte_for_byte(k):
+    # 8 and 9 columns reach numpy's pairwise summation; the rewrite uses the
+    # same reduction, so it matches there too
+    rng = np.random.default_rng(k)
+    M = rng.normal(size=(40, k)) * np.exp(rng.normal(scale=5.0, size=(40, k)))
+    M[0] = 0.0
+    M[1] = 1e-300
+    M[2] = 1e150
+    M[3, 0] = -1e150
+    M[4, -1] = 1e-300
+    assert solvers._row_norms(M).tobytes() == np.linalg.norm(M, axis=1).tobytes()
+
+
 # --- fit_grouped --------------------------------------------------------
 
 
@@ -318,6 +332,23 @@ def test_lpd_phase_one_backstops_a_max_iter_pre_check(monkeypatch):
     assert calls == [SolverOptions()]
 
 
+def test_lpd_max_iter_pre_check_still_reaches_the_optimum_of_a_feasible_box(monkeypatch):
+    # the pre-check's support only seeds the activation: a budget-out whose
+    # support misses the binding rows still ends at the LP optimum
+    def budget_out(S, G, lam, opts):
+        X = np.zeros_like(G)
+        X[2] = 1.0
+        return X, SolverReport(opts.max_iter, np.zeros(1), 1.0, "max_iter")
+
+    monkeypatch.setattr(solvers, "_proximal_gradient", budget_out)
+    S = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    delta = np.array([2.0, 2.0, 0.2])
+    beta = fit_lpd(S, delta, 0.5)
+    assert np.abs(S @ beta - delta).max() <= 0.5 + 1e-9
+    assert np.abs(beta).sum() == pytest.approx(1.5, abs=1e-12)
+    assert beta[2] == 0.0
+
+
 def test_lpd_skips_the_pre_check_on_a_full_rank_scatter(monkeypatch):
     calls = []
     real = solvers._proximal_gradient
@@ -361,6 +392,127 @@ def test_lpd_infeasible_exactly_below_the_lp_threshold_on_the_study_grid():
                     assert np.abs(S.dot(beta) - delta).max() <= lam + 1e-8
                     feasible += 1
     assert raised > 0 and feasible > 0
+
+
+def _empty_seed(S, G, lam, opts):
+    # a pre-check that leaves the activation its rows violated at 0 only
+    return np.zeros_like(G), SolverReport(opts.max_iter, np.zeros(1), 1.0, "max_iter")
+
+
+def _lpd_l1_by_highs(S, delta, lam):
+    # min |b|_1 over the box, with b = u - v and w = F b so that the box
+    # reads |F'w - delta|_inf <= lam: far fewer nonzeros than S itself
+    from scipy.optimize import linprog
+
+    F = S.factor
+    n, p = F.shape
+    zeros = np.zeros((p, 2 * p))
+    res = linprog(
+        np.r_[np.ones(2 * p), np.zeros(n)],
+        A_ub=np.block([[zeros, F.T], [zeros, -F.T]]),
+        b_ub=np.r_[lam + delta, lam - delta],
+        A_eq=np.hstack([F, -F, -np.eye(n)]),
+        b_eq=np.zeros(n),
+        bounds=[(0.0, None)] * (2 * p) + [(None, None)] * n,
+        method="highs",
+    )
+    assert res.status == 0
+    return float(res.fun)
+
+
+def test_seeded_lpd_is_the_exact_optimum_on_the_study_grid(monkeypatch):
+    from glda.select import lambda_grid
+    from glda.simulate import sample, sim1_spec
+
+    grid = lambda_grid(2.5, 14, 0.8).values
+    feasible = []
+    for seed in range(5):
+        d = sample(sim1_spec(seed))
+        cs = summarize(d)
+        S = pooled_scatter(d, cs)
+        for delta in cs.deltas:
+            for lam in grid:
+                try:
+                    beta = fit_lpd(S, delta, float(lam))
+                except LpInfeasibleError:
+                    continue
+                feasible.append((S, delta, float(lam), beta))
+    assert len(feasible) > 100
+    for S, delta, lam, beta in feasible:
+        l1 = np.abs(beta).sum()
+        assert l1 == pytest.approx(_lpd_l1_by_highs(S, delta, lam), rel=1e-9, abs=1e-12)
+        assert np.abs(S.dot(beta) - delta).max() <= lam + 1e-9
+    monkeypatch.setattr(solvers, "_proximal_gradient", _empty_seed)
+    for S, delta, lam, beta in feasible:
+        cold = fit_lpd(S, delta, lam)
+        assert np.array_equal(np.abs(beta) >= 0.25, np.abs(cold) >= 0.25), lam
+        assert np.abs(cold).sum() == pytest.approx(np.abs(beta).sum(), rel=1e-9, abs=1e-12)
+
+
+def test_lpd_seed_enters_the_first_lp_and_saves_simplex_calls(monkeypatch):
+    from glda.select import lambda_grid
+    from glda.simulate import sample, sim1_spec
+
+    d = sample(sim1_spec(0))
+    cs = summarize(d)
+    S = pooled_scatter(d, cs)
+    M, p = S.matrix, S.p
+    grid = lambda_grid(2.5, 14, 0.8).values
+    lam = float(grid[9])
+    assert lam == pytest.approx(0.698, abs=5e-4)
+    real_pg, real_lp = solvers._proximal_gradient, solvers.solve_inequality_lp
+    seeds, lps = [], []
+
+    def pg_spy(*args):
+        X, report = real_pg(*args)
+        seeds.append(X[:, 0].copy())
+        return X, report
+
+    def lp_spy(c, A, b):
+        lps.append(A)
+        return real_lp(c, A, b)
+
+    monkeypatch.setattr(solvers, "_proximal_gradient", pg_spy)
+    monkeypatch.setattr(solvers, "solve_inequality_lp", lp_spy)
+    checked = 0
+    for delta in cs.deltas:
+        seeds.clear()
+        lps.clear()
+        try:
+            fit_lpd(S, delta, lam)
+        except LpInfeasibleError:
+            continue
+        checked += 1
+        (seed,) = seeds
+        support = np.flatnonzero(seed)
+        assert support.size > 0
+        A = lps[0]
+        h = A.shape[0] // 2
+        # row i of the first LP is the box row S_j b - delta_j <= lam of
+        # feature j; row h + i is its mirror -S_j b + delta_j <= lam
+        dist = np.abs(A[:h, None, :p] - M[None, :, :]).max(axis=2)
+        rows = dist.argmin(axis=1)
+        assert np.all(dist[np.arange(h), rows] <= 1e-12 * np.abs(M).max())
+        assert set(support) <= set(rows)
+        assert np.array_equal(A[h:, :p], -A[:h, :p])
+    assert checked > 0
+
+    # count the simplex calls over the grid's feasible boxes, seeded and not
+    lps.clear()
+    feasible = []
+    for delta in cs.deltas:
+        for g in grid:
+            try:
+                fit_lpd(S, delta, float(g))
+            except LpInfeasibleError:
+                continue
+            feasible.append((delta, float(g)))
+    seeded = len(lps)
+    monkeypatch.setattr(solvers, "_proximal_gradient", _empty_seed)
+    lps.clear()
+    for delta, g in feasible:
+        fit_lpd(S, delta, g)
+    assert seeded < len(lps)
 
 
 def test_lpd_requires_positive_lambda():
