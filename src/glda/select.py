@@ -36,6 +36,8 @@ class LambdaGrid:
         object.__setattr__(self, "values", v)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("grid must be a nonempty vector")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("grid values must be finite")
         if np.any(v <= 0):
             raise ValueError("grid values must be positive")
         if v.size > 1 and not np.all(np.diff(v) < 0):
@@ -61,6 +63,8 @@ class CvResult:
 
 def lambda_grid(lmax: float, n: int, decades: float) -> LambdaGrid:
     """n log-spaced penalties from lmax down to lmax * 10^(-decades)."""
+    if not (np.isfinite(lmax) and np.isfinite(decades)):
+        raise ValueError("lmax and decades must be finite")
     if lmax <= 0:
         raise ValueError("lmax must be positive")
     if n < 2:

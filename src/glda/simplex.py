@@ -1,15 +1,18 @@
-"""Dense two-phase simplex for the small linear programs used by the solvers.
+"""Dense simplex for the small linear programs used by the solvers.
 
-Solves min c'x subject to Ax <= b, x >= 0 with a full tableau. Phase 1
-introduces artificial variables only on rows whose right-hand side is
-negative after orientation and minimizes their sum; phase 2 optimizes the
-real objective. Pricing uses Dantzig's rule (most negative reduced cost)
-and falls back to Bland's rule once the count of degenerate pivots exceeds
-ten times the row count, which rules out cycling.
+Solves min c'x subject to Ax <= b, x >= 0 on the full tableau [A | I | b]
+with the slacks basic. Priced at c+ = max(c, 0), that basis is dual
+feasible, so dual pivots run first until the right-hand side is
+nonnegative. Only when c has a negative entry is the cost row then
+re-priced with c for primal pivots. Both passes use Dantzig's rule (most
+negative right-hand side or reduced cost) and fall back to Bland's rule
+once the count of degenerate pivots exceeds ten times the row count, which
+rules out cycling.
 
-``LpInfeasibleError`` carries a ``ray`` attribute for callers that prove
-infeasibility by a certificate of their own (``solvers.fit_lpd`` passes
-its Farkas vector there); when phase 1 proved it, ``ray`` is None.
+Every infeasibility comes with a certificate. A dual ratio test that finds
+no entering column on row r makes the slack block of that row, which is row
+r of the basis inverse, a vector y >= 0 with y'A >= 0 and y'b < 0.
+``LpInfeasibleError`` carries y as ``ray``.
 """
 
 import numpy as np
@@ -18,23 +21,24 @@ __all__ = ["LpInfeasibleError", "LpNumericalError", "solve_inequality_lp"]
 
 _ENTER_TOL = 1e-9
 _RATIO_TOL = 1e-9
-_FEAS_TOL = 1e-8
+_FEAS_TOL = 1e-9
 
 
 class LpInfeasibleError(Exception):
     """The constraint set {x >= 0 : Ax <= b} is empty.
 
-    ``ray`` is the certificate that proved it, or None when simplex phase 1
-    did (a phase-1 proof leaves no vector behind).
+    ``ray`` is the Farkas vector that proves it: from the simplex, a y >= 0
+    over the rows with y'A >= 0 and y'b < 0 (``solvers.fit_lpd`` maps it to
+    a null-space ray of its own problem).
     """
 
-    def __init__(self, message, ray=None):
+    def __init__(self, message, ray):
         super().__init__(message)
         self.ray = ray
 
 
 class LpNumericalError(Exception):
-    """Pivoting failed to terminate within the iteration budget."""
+    """The pivot budget ran out, or the objective is unbounded below."""
 
 
 def _pivot(T, r, q):
@@ -46,117 +50,92 @@ def _pivot(T, r, q):
     T[r, q] = 1.0
 
 
-def _iterate(T, basis, allowed):
-    """Run simplex pivots on the tableau until the cost row is optimal.
+def _budget(T):
+    return 1000 + 50 * sum(T.shape)
 
-    `allowed` restricts pricing to the first columns (used to exclude
-    artificial columns in phase 2). Returns "optimal" or "unbounded".
+
+def _dual_iterate(T, basis):
+    """Run dual pivots until the right-hand side is nonnegative.
+
+    The cost row must hold no negative reduced cost; the minimum-ratio
+    entering column keeps it so. A row with a negative right-hand side and
+    no negative entry raises LpInfeasibleError with its certificate.
     """
     m = len(basis)
+    rhs = T[:-1, -1]
+    floor = -_FEAS_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
     degenerate = 0
-    bland = False
-    max_pivots = 1000 + 50 * (m + allowed)
-    for _ in range(max_pivots):
-        costs = T[-1, :allowed]
-        if bland:
-            neg = np.flatnonzero(costs < -_ENTER_TOL)
-            if neg.size == 0:
-                return "optimal"
-            q = int(neg[0])
-        else:
-            q = int(np.argmin(costs))
-            if costs[q] >= -_ENTER_TOL:
-                return "optimal"
+    for _ in range(_budget(T)):
+        short = np.flatnonzero(rhs < floor)
+        if short.size == 0:
+            return
+        bland = degenerate > 10 * m
+        r = int(short[np.argmin(basis[short] if bland else rhs[short])])
+        row = T[r, :-1]
+        neg = np.flatnonzero(row < -_RATIO_TOL)
+        if neg.size == 0:
+            raise LpInfeasibleError("constraint set is empty", ray=np.maximum(T[r, -1 - m : -1], 0.0))
+        ratios = np.maximum(T[-1, neg], 0.0) / -row[neg]
+        rmin = ratios.min()
+        ties = neg[ratios <= rmin + 1e-12 * (1.0 + rmin)]
+        q = int(ties[0]) if bland else int(ties[np.argmin(row[ties])])
+        degenerate += rmin <= 1e-10
+        _pivot(T, r, q)
+        basis[r] = q
+    raise LpNumericalError("simplex did not terminate within the pivot budget")
+
+
+def _primal_iterate(T, basis):
+    """Run primal pivots until no reduced cost is negative."""
+    m = len(basis)
+    degenerate = 0
+    for _ in range(_budget(T)):
+        costs = T[-1, :-1]
+        neg = np.flatnonzero(costs < -_ENTER_TOL)
+        if neg.size == 0:
+            return
+        bland = degenerate > 10 * m
+        q = int(neg[0]) if bland else int(np.argmin(costs))
         col = T[:-1, q]
         pos = col > _RATIO_TOL
         if not pos.any():
-            return "unbounded"
+            raise LpNumericalError("unbounded objective")
         ratios = np.full(m, np.inf)
         ratios[pos] = T[:-1, -1][pos] / col[pos]
         rmin = ratios.min()
         ties = np.flatnonzero(ratios <= rmin + 1e-12 * (1.0 + abs(rmin)))
-        if bland:
-            r = int(ties[np.argmin(basis[ties])])
-        else:
-            r = int(ties[np.argmax(col[ties])])
-        if rmin <= 1e-10:
-            degenerate += 1
-            if degenerate > 10 * m:
-                bland = True
+        r = int(ties[np.argmin(basis[ties])]) if bland else int(ties[np.argmax(col[ties])])
+        degenerate += rmin <= 1e-10
         _pivot(T, r, q)
         basis[r] = q
     raise LpNumericalError("simplex did not terminate within the pivot budget")
 
 
 def solve_inequality_lp(c, A, b):
-    """Minimize c'x over {x >= 0 : Ax <= b}. Returns (x, objective)."""
+    """Minimize c'x over {x >= 0 : Ax <= b}. Returns (x, objective).
+
+    Raises LpInfeasibleError, with its certificate as ``ray``, when the
+    constraint set is empty, and LpNumericalError when the objective is
+    unbounded below or the pivot budget runs out.
+    """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     if A.ndim != 2 or A.shape != (b.size, c.size):
         raise ValueError("inconsistent LP dimensions")
     m, n = A.shape
-    if m == 0:
-        if np.any(c < 0):
-            raise LpNumericalError("unbounded objective")
-        return np.zeros(n), 0.0
-
-    # Orient rows so every right-hand side is nonnegative; flipped rows get a
-    # surplus column (-1) plus an artificial, the rest start with their slack
-    # in the basis.
-    flip = b < 0
-    A2 = np.where(flip[:, None], -A, A)
-    b2 = np.where(flip, -b, b)
-    art_rows = np.flatnonzero(flip)
-    na = art_rows.size
-    ncols = n + m + na
-    T = np.zeros((m + 1, ncols + 1))
-    T[:m, :n] = A2
-    T[np.arange(m), n + np.arange(m)] = np.where(flip, -1.0, 1.0)
-    if na:
-        T[art_rows, n + m + np.arange(na)] = 1.0
-    T[:m, -1] = b2
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A
+    T[np.arange(m), n + np.arange(m)] = 1.0
+    T[:m, -1] = b
+    T[m, :n] = np.maximum(c, 0.0)
     basis = n + np.arange(m)
-    basis[art_rows] = n + m + np.arange(na)
-    n_real = n + m  # structural + slack columns; artificials come after
-
-    if na:
-        T[m, n + m : n + m + na] = 1.0
-        for r in art_rows:
-            T[m] -= T[r]
-        if _iterate(T, basis, allowed=ncols) != "optimal":
-            raise LpNumericalError("phase 1 reported an unbounded auxiliary problem")
-        scale = 1.0 + float(np.abs(b2).max(initial=0.0))
-        if T[m, -1] < -_FEAS_TOL * scale:
-            raise LpInfeasibleError("constraint set is empty")
-        # Pivot any leftover zero-valued artificial out of the basis; rows
-        # with no real coefficient left are redundant and dropped.
-        drop = []
-        for r in range(m):
-            if basis[r] >= n_real:
-                nz = np.flatnonzero(np.abs(T[r, :n_real]) > 1e-9)
-                if nz.size:
-                    _pivot(T, r, int(nz[0]))
-                    basis[r] = int(nz[0])
-                else:
-                    drop.append(r)
-        if drop:
-            keep = np.setdiff1d(np.arange(m), drop)
-            T = np.vstack([T[keep], T[-1:]])
-            basis = basis[keep]
-            m = len(basis)
-
-    T[-1, :] = 0.0
-    T[-1, :n] = c
-    for r in range(m):
-        j = basis[r]
-        if j < n and c[j] != 0.0:
-            T[-1] -= c[j] * T[r]
-    # Artificial columns may still be present; pricing skips them.
-    if _iterate(T, basis, allowed=n_real) == "unbounded":
-        raise LpNumericalError("unbounded objective")
+    _dual_iterate(T, basis)
+    if np.any(c < 0):
+        cost = np.concatenate([c, np.zeros(m + 1)])
+        T[-1] = cost - cost[basis] @ T[:-1]
+        _primal_iterate(T, basis)
     x = np.zeros(n)
-    for r in range(m):
-        if basis[r] < n:
-            x[basis[r]] = T[r, -1]
+    structural = basis < n
+    x[basis[structural]] = T[:-1, -1][structural]
     return x, float(-T[-1, -1])

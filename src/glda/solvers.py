@@ -10,11 +10,10 @@ Three routes to the discriminant directions:
 * ``fit_lpd``       - one direction at a time, minimum l1 norm subject to an
   l-infinity residual box, solved as a linear program by the internal
   dense simplex. When S is singular an empty box is first looked for with
-  the ``single`` engine: its null-space ray is a Farkas certificate, and
-  the ``LpInfeasibleError`` it raises carries that ray as ``ray`` (None
-  when simplex phase 1 proved the box empty). Otherwise the simplex's
-  constraint activation starts from the rows violated at 0 plus the
-  support of that ``single`` fit.
+  the ``single`` engine; otherwise the simplex's constraint activation
+  starts from the rows violated at 0 plus the support of that ``single``
+  fit. Every ``LpInfeasibleError`` carries a null-space Farkas ray as
+  ``ray``, whether the ``single`` engine or the simplex found the box empty.
 
 ``fit_directions`` picks one of the three by name and fits all K-1
 directions. Plus the supporting pieces: the group proximal operator, hard
@@ -363,11 +362,14 @@ def fit_lpd(S, delta, lam):
     lasso optimum those rows are tight, |S b - delta|_j = lam, which is
     where the box binds; the seed only saves activation rounds, since the
     loop still adds every row the LP solution breaks. The simplex then
-    decides, and an infeasibility its phase 1 proves raises with ``ray``
-    None. A nonsingular S skips the pre-check: its box always holds
-    S^-1 delta.
+    decides. Its proof of an empty box, y >= 0 over the rows [R, -R; -R, R]
+    with y'A >= 0 and y'b < 0, maps to u = y_- - y_+ on the active features:
+    S u = 0 and <delta, u> > lam |u|_1, the same kind of ray, which is
+    projected onto the null space of S and checked before it is raised. A
+    nonsingular S skips the pre-check: its box always holds S^-1 delta.
 
-    Raises LpInfeasibleError when the constraint set is empty.
+    Raises LpInfeasibleError when the constraint set is empty, and
+    LpNumericalError when the simplex fails or its proof fails the check.
     """
     S, G, lam = _grouped_problem(S, np.reshape(delta, (1, -1)), lam, positive=True)
     p, F = S.p, S.factor
@@ -389,8 +391,13 @@ def fit_lpd(S, delta, lam):
         b = np.concatenate([lam[idx] + d[idx], lam[idx] - d[idx]])
         try:
             x, _ = solve_inequality_lp(c, A, b)
-        except LpInfeasibleError:
-            raise LpInfeasibleError("LPD infeasible at this lambda") from None
+        except LpInfeasibleError as exc:
+            u = np.zeros(p)
+            u[idx] = exc.ray[idx.size :] - exc.ray[: idx.size]
+            ray = _recession_ray(S, G, lam, u[:, None])
+            if ray is None:
+                raise LpNumericalError("simplex infeasibility proof failed its check") from None
+            raise LpInfeasibleError("LPD infeasible at this lambda", ray=ray[:, 0]) from None
         beta = x[:p] - x[p:]
         viol = (np.abs(S.dot(beta) - d) > lam + 1e-9) & ~active
         if not viol.any():

@@ -270,6 +270,16 @@ def test_cv_too_few_folds_exit2(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("spec", ["inf:10:3", "nan:10:3", "1.0:10:inf"])
+def test_cv_non_finite_grid_exit2(tmp_path, capsys, spec):
+    train = tmp_path / "train.csv"
+    write_training_csv(train)
+    out = tmp_path / "cv.csv"
+    assert main(["cv", str(train), "--lambda-grid", spec, "--folds", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: lmax and decades must be finite\n"
+    assert not out.exists()
+
+
 def test_predict_unlabeled_and_dimension_mismatch(tmp_path, capsys):
     train = tmp_path / "train.csv"
     write_training_csv(train)

@@ -37,6 +37,12 @@ def test_lambda_grid_rejects_bad_inputs():
         lambda_grid(0.0, 4, 1.0)
     with pytest.raises(ValueError):
         lambda_grid(1.0, 1, 1.0)
+    for lmax, decades in [(np.inf, 3.0), (np.nan, 3.0), (1.0, np.inf), (1.0, np.nan)]:
+        with pytest.raises(ValueError, match="must be finite"):
+            lambda_grid(lmax, 10, decades)
+    for values in ([np.nan], [np.inf], [np.inf, 1.0], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="must be finite"):
+            LambdaGrid(values=np.array(values))
 
 
 def test_lambda_max_anchors_zero_solution():

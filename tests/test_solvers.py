@@ -317,7 +317,7 @@ def test_lpd_infeasible_raises():
     assert np.allclose(ray, [np.sqrt(0.5), -np.sqrt(0.5)])
 
 
-def test_lpd_phase_one_backstops_a_max_iter_pre_check(monkeypatch):
+def test_lpd_simplex_backstops_a_max_iter_pre_check(monkeypatch):
     calls = []
 
     def budget_out(S, G, lam, opts):
@@ -326,10 +326,21 @@ def test_lpd_phase_one_backstops_a_max_iter_pre_check(monkeypatch):
 
     monkeypatch.setattr(solvers, "_proximal_gradient", budget_out)
     S = np.array([[1.0, 1.0], [1.0, 1.0]])
+    delta = np.array([2.0, -2.0])
     with pytest.raises(LpInfeasibleError, match="LPD infeasible") as info:
-        fit_lpd(S, np.array([2.0, -2.0]), 0.5)
-    assert info.value.ray is None
+        fit_lpd(S, delta, 0.5)
+    ray = info.value.ray
+    assert_farkas_ray(as_scatter(S), delta, 0.5, ray)
+    assert np.allclose(ray, [np.sqrt(0.5), -np.sqrt(0.5)])
     assert calls == [SolverOptions()]
+
+
+def test_lpd_simplex_proof_that_fails_its_check_is_a_numerical_error(monkeypatch):
+    # a simplex certificate is raised only once it maps to a checked ray
+    monkeypatch.setattr(solvers, "_proximal_gradient", _empty_seed)
+    monkeypatch.setattr(solvers, "_recession_ray", lambda *args: None)
+    with pytest.raises(solvers.LpNumericalError, match="failed its check"):
+        fit_lpd(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([2.0, -2.0]), 0.5)
 
 
 def test_lpd_max_iter_pre_check_still_reaches_the_optimum_of_a_feasible_box(monkeypatch):
@@ -447,6 +458,27 @@ def test_seeded_lpd_is_the_exact_optimum_on_the_study_grid(monkeypatch):
         cold = fit_lpd(S, delta, lam)
         assert np.array_equal(np.abs(beta) >= 0.25, np.abs(cold) >= 0.25), lam
         assert np.abs(cold).sum() == pytest.approx(np.abs(beta).sum(), rel=1e-9, abs=1e-12)
+
+
+def test_lpd_simplex_certifies_every_empty_box_on_the_study_grid(monkeypatch):
+    # with the pre-check stubbed out, the simplex proves every empty box, and
+    # its Farkas vector maps to a null-space ray of the single objective
+    from glda.select import lambda_grid
+    from glda.simulate import sample, sim1_spec
+
+    monkeypatch.setattr(solvers, "_proximal_gradient", _empty_seed)
+    d = sample(sim1_spec(0))
+    cs = summarize(d)
+    S = pooled_scatter(d, cs)
+    raised = 0
+    for delta in cs.deltas:
+        for lam in lambda_grid(2.5, 14, 0.8).values:
+            try:
+                fit_lpd(S, delta, float(lam))
+            except LpInfeasibleError as exc:
+                assert_farkas_ray(S, delta, float(lam), exc.ray)
+                raised += 1
+    assert raised > 0
 
 
 def test_lpd_seed_enters_the_first_lp_and_saves_simplex_calls(monkeypatch):
