@@ -1,27 +1,46 @@
-"""Dense simplex for the small linear programs used by the solvers.
+"""Dense dual simplex for the small linear programs used by the solvers.
 
-Solves min c'x subject to Ax <= b, x >= 0 on the full tableau [A | I | b]
-with the slacks basic. Priced at c+ = max(c, 0), that basis is dual
-feasible, so dual pivots run first until the right-hand side is
-nonnegative. Only when c has a negative entry is the cost row then
-re-priced with c for primal pivots. Both passes use Dantzig's rule (most
-negative right-hand side or reduced cost) and fall back to Bland's rule
-once the count of degenerate pivots exceeds ten times the row count, which
-rules out cycling.
+``InequalityLP(c)`` minimises c'x subject to Ax <= b, x >= 0 for rows that
+arrive in batches. It keeps the full tableau [A | I | b] between batches.
+``append(A, b)`` scales each new row to unit max-norm, eliminates it against
+the current basis with its own slack basic, and resumes pivoting from the
+last basis. ``solve_inequality_lp(c, A, b)`` is the one-batch use.
+
+The empty tableau is priced at c+ = max(c, 0). The all-slack basis is dual
+feasible there, and appended rows with basic slacks leave the cost row as
+it is, so every batch starts dual feasible: dual pivots run until the
+right-hand side is nonnegative. Only when c has a negative entry is the
+cost row then re-priced with c for primal pivots. After the first batch
+the basis is optimal for c, so later batches again start dual feasible
+and their re-pricing changes nothing but rounding.
+Both passes use Dantzig's rule (most negative right-hand side or reduced
+cost) and fall back to Bland's rule once the count of degenerate pivots
+exceeds ten times the row count, which rules out cycling.
+
+Every cut is relative to the tableau: an entry to the largest entry of its
+row (dual pass) or column (primal pass), a right-hand side to the largest
+right-hand side, and a reduced cost or dual ratio to the largest reduced
+cost. With the rows at unit max-norm, scaling any row of [A | b] by a
+positive factor, or all of b or c by one, leaves the pivots as they are up
+to rounding. So ``solvers.fit_lpd`` on features rescaled by s, whose rows
+scale by s^2 and b by s, takes the same pivots.
 
 Every infeasibility comes with a certificate. A dual ratio test that finds
 no entering column on row r makes the slack block of that row, which is row
-r of the basis inverse, a vector y >= 0 with y'A >= 0 and y'b < 0.
-``LpInfeasibleError`` carries y as ``ray``.
+r of the basis inverse, a vector y >= 0 with y'A >= 0 and y'b < 0 once the
+row scaling is undone. ``LpInfeasibleError`` carries y as ``ray``, one
+entry per appended row in the order appended.
 """
 
 import numpy as np
 
-__all__ = ["LpInfeasibleError", "LpNumericalError", "solve_inequality_lp"]
+__all__ = ["InequalityLP", "LpInfeasibleError", "LpNumericalError", "solve_inequality_lp"]
 
 _ENTER_TOL = 1e-9
 _RATIO_TOL = 1e-9
 _FEAS_TOL = 1e-9
+_TIE_TOL = 1e-12
+_DEGENERATE_TOL = 1e-10
 
 
 class LpInfeasibleError(Exception):
@@ -54,6 +73,10 @@ def _budget(T):
     return 1000 + 50 * sum(T.shape)
 
 
+def _largest(v):
+    return float(np.abs(v).max(initial=0.0))
+
+
 def _dual_iterate(T, basis):
     """Run dual pivots until the right-hand side is nonnegative.
 
@@ -63,7 +86,8 @@ def _dual_iterate(T, basis):
     """
     m = len(basis)
     rhs = T[:-1, -1]
-    floor = -_FEAS_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
+    floor = -_FEAS_TOL * _largest(rhs)
+    cost_scale = _largest(T[-1, :-1])
     degenerate = 0
     for _ in range(_budget(T)):
         short = np.flatnonzero(rhs < floor)
@@ -72,14 +96,14 @@ def _dual_iterate(T, basis):
         bland = degenerate > 10 * m
         r = int(short[np.argmin(basis[short] if bland else rhs[short])])
         row = T[r, :-1]
-        neg = np.flatnonzero(row < -_RATIO_TOL)
+        neg = np.flatnonzero(row < -_RATIO_TOL * _largest(row))
         if neg.size == 0:
             raise LpInfeasibleError("constraint set is empty", ray=np.maximum(T[r, -1 - m : -1], 0.0))
         ratios = np.maximum(T[-1, neg], 0.0) / -row[neg]
         rmin = ratios.min()
-        ties = neg[ratios <= rmin + 1e-12 * (1.0 + rmin)]
+        ties = neg[ratios <= rmin + _TIE_TOL * (cost_scale + rmin)]
         q = int(ties[0]) if bland else int(ties[np.argmin(row[ties])])
-        degenerate += rmin <= 1e-10
+        degenerate += rmin <= _DEGENERATE_TOL * cost_scale
         _pivot(T, r, q)
         basis[r] = q
     raise LpNumericalError("simplex did not terminate within the pivot budget")
@@ -88,27 +112,87 @@ def _dual_iterate(T, basis):
 def _primal_iterate(T, basis):
     """Run primal pivots until no reduced cost is negative."""
     m = len(basis)
+    rhs_scale = _largest(T[:-1, -1])
     degenerate = 0
     for _ in range(_budget(T)):
         costs = T[-1, :-1]
-        neg = np.flatnonzero(costs < -_ENTER_TOL)
+        neg = np.flatnonzero(costs < -_ENTER_TOL * _largest(costs))
         if neg.size == 0:
             return
         bland = degenerate > 10 * m
         q = int(neg[0]) if bland else int(np.argmin(costs))
         col = T[:-1, q]
-        pos = col > _RATIO_TOL
+        pos = col > _RATIO_TOL * _largest(col)
         if not pos.any():
             raise LpNumericalError("unbounded objective")
         ratios = np.full(m, np.inf)
         ratios[pos] = T[:-1, -1][pos] / col[pos]
         rmin = ratios.min()
-        ties = np.flatnonzero(ratios <= rmin + 1e-12 * (1.0 + abs(rmin)))
+        ties = np.flatnonzero(ratios <= rmin + _TIE_TOL * (rhs_scale + abs(rmin)))
         r = int(ties[np.argmin(basis[ties])]) if bland else int(ties[np.argmax(col[ties])])
-        degenerate += rmin <= 1e-10
+        degenerate += rmin <= _DEGENERATE_TOL * rhs_scale
         _pivot(T, r, q)
         basis[r] = q
     raise LpNumericalError("simplex did not terminate within the pivot budget")
+
+
+class InequalityLP:
+    """min c'x over {x >= 0 : Ax <= b}, with the rows of A appended in batches.
+
+    Each ``append`` re-optimises from the basis the last one left, so a
+    cutting-plane loop pays only for the pivots its new rows need.
+    """
+
+    def __init__(self, c):
+        c = np.asarray(c, dtype=float)
+        if c.ndim != 1:
+            raise ValueError("inconsistent LP dimensions")
+        self._c = c
+        self._T = np.zeros((1, c.size + 1))
+        self._T[0, :-1] = np.maximum(c, 0.0)
+        self._basis = np.zeros(0, dtype=int)
+        self._row_scale = np.zeros(0)
+
+    def append(self, A, b):
+        """Add the rows Ax <= b and re-optimise. Returns (x, objective).
+
+        Raises LpInfeasibleError, with its certificate over all rows
+        appended so far as ``ray``, when the constraint set is empty, and
+        LpNumericalError when the objective is unbounded below or the pivot
+        budget runs out.
+        """
+        A = np.asarray(A, dtype=float)
+        b = np.asarray(b, dtype=float)
+        n, m, k = self._c.size, self._basis.size, b.size
+        if A.ndim != 2 or A.shape != (k, n):
+            raise ValueError("inconsistent LP dimensions")
+        scale = np.abs(A).max(axis=1, initial=0.0)
+        scale[scale == 0.0] = 1.0
+        old = self._T
+        T = np.zeros((m + k + 1, n + m + k + 1))
+        T[np.r_[:m, -1], : n + m] = old[:, :-1]
+        T[np.r_[:m, -1], -1] = old[:, -1]
+        new = T[m : m + k]
+        new[:, :n] = A / scale[:, None]
+        new[np.arange(k), n + m + np.arange(k)] = 1.0
+        new[:, -1] = b / scale
+        new -= new[:, self._basis] @ T[:m]
+        basis = np.r_[self._basis, n + m + np.arange(k)]
+        self._T, self._basis = T, basis
+        self._row_scale = np.r_[self._row_scale, scale]
+        try:
+            _dual_iterate(T, basis)
+        except LpInfeasibleError as exc:
+            exc.ray = exc.ray / self._row_scale
+            raise
+        if np.any(self._c < 0):
+            cost = np.concatenate([self._c, np.zeros(m + k + 1)])
+            T[-1] = cost - cost[basis] @ T[:-1]
+            _primal_iterate(T, basis)
+        x = np.zeros(n)
+        structural = basis < n
+        x[basis[structural]] = T[:-1, -1][structural]
+        return x, float(-T[-1, -1])
 
 
 def solve_inequality_lp(c, A, b):
@@ -118,24 +202,4 @@ def solve_inequality_lp(c, A, b):
     constraint set is empty, and LpNumericalError when the objective is
     unbounded below or the pivot budget runs out.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if A.ndim != 2 or A.shape != (b.size, c.size):
-        raise ValueError("inconsistent LP dimensions")
-    m, n = A.shape
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[np.arange(m), n + np.arange(m)] = 1.0
-    T[:m, -1] = b
-    T[m, :n] = np.maximum(c, 0.0)
-    basis = n + np.arange(m)
-    _dual_iterate(T, basis)
-    if np.any(c < 0):
-        cost = np.concatenate([c, np.zeros(m + 1)])
-        T[-1] = cost - cost[basis] @ T[:-1]
-        _primal_iterate(T, basis)
-    x = np.zeros(n)
-    structural = basis < n
-    x[basis[structural]] = T[:-1, -1][structural]
-    return x, float(-T[-1, -1])
+    return InequalityLP(c).append(A, b)

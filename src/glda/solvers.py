@@ -9,11 +9,13 @@ Three routes to the discriminant directions:
   grouped problem with a single direction, so one-entry groups.
 * ``fit_lpd``       - one direction at a time, minimum l1 norm subject to an
   l-infinity residual box, solved as a linear program by the internal
-  dense simplex. When S is singular an empty box is first looked for with
-  the ``single`` engine; otherwise the simplex's constraint activation
-  starts from the rows violated at 0 plus the support of that ``single``
-  fit. Every ``LpInfeasibleError`` carries a null-space Farkas ray as
-  ``ray``, whether the ``single`` engine or the simplex found the box empty.
+  dense simplex, which keeps its tableau as constraint rows are activated
+  and resumes from the last basis. When S is singular an empty box is
+  first looked for with the ``single`` engine; otherwise the simplex's
+  constraint activation starts from the rows violated at 0 plus the
+  support of that ``single`` fit. Every ``LpInfeasibleError`` carries a
+  null-space Farkas ray as ``ray``, whether the ``single`` engine or the
+  simplex found the box empty.
 
 ``fit_directions`` picks one of the three by name and fits all K-1
 directions. Plus the supporting pieces: the group proximal operator, hard
@@ -27,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import NULL_CUT, DirectionSet, as_scatter
-from .simplex import LpInfeasibleError, LpNumericalError, solve_inequality_lp
+from .simplex import InequalityLP, LpInfeasibleError, LpNumericalError
 
 __all__ = [
     "SolverOptions",
@@ -350,8 +352,9 @@ def fit_lpd(S, delta, lam):
     Solved as a linear program over the split b = u - v (2p variables,
     two inequality rows per feature) with the internal dense simplex.
     Constraint rows are activated lazily: start from the rows violated at
-    b = 0, re-solve, and add whatever the current iterate violates until
-    the full constraint box holds, which yields the exact LP optimum.
+    b = 0, then append the rows of whatever the current iterate violates
+    (by more than a relative 1e-9 of lam) and resume from the last basis,
+    until the full constraint box holds, which yields the exact LP optimum.
 
     By Farkas' lemma the box is empty exactly when some u with S u = 0 has
     <delta, u> > lam |u|_1, which is the ray that certifies the ``single``
@@ -362,8 +365,9 @@ def fit_lpd(S, delta, lam):
     lasso optimum those rows are tight, |S b - delta|_j = lam, which is
     where the box binds; the seed only saves activation rounds, since the
     loop still adds every row the LP solution breaks. The simplex then
-    decides. Its proof of an empty box, y >= 0 over the rows [R, -R; -R, R]
-    with y'A >= 0 and y'b < 0, maps to u = y_- - y_+ on the active features:
+    decides. Its proof of an empty box, y >= 0 over the appended rows with
+    y'A >= 0 and y'b < 0, maps to u = y_- - y_+ through each row's feature
+    and sign (y_+ on the rows S_j b - delta_j <= lam, y_- on their mirrors):
     S u = 0 and <delta, u> > lam |u|_1, the same kind of ray, which is
     projected onto the null space of S and checked before it is raised. A
     nonsingular S skips the pre-check: its box always holds S^-1 delta.
@@ -383,26 +387,29 @@ def fit_lpd(S, delta, lam):
         if report.status == "unbounded":
             raise LpInfeasibleError("LPD infeasible at this lambda", ray=report.ray[:, 0])
         active |= X[:, 0] != 0
-    c = np.ones(2 * p)
+    lp = InequalityLP(np.ones(2 * p))
+    feature, sign = np.zeros(0, dtype=int), np.zeros(0)
+    new = active
     for _ in range(p + 1):
-        idx = np.flatnonzero(active)
+        idx = np.flatnonzero(new)
         rows = F[:, idx].T @ F
         A = np.vstack([np.hstack([rows, -rows]), np.hstack([-rows, rows])])
         b = np.concatenate([lam[idx] + d[idx], lam[idx] - d[idx]])
+        feature = np.concatenate([feature, idx, idx])
+        sign = np.concatenate([sign, np.ones(idx.size), -np.ones(idx.size)])
         try:
-            x, _ = solve_inequality_lp(c, A, b)
+            x, _ = lp.append(A, b)
         except LpInfeasibleError as exc:
-            u = np.zeros(p)
-            u[idx] = exc.ray[idx.size :] - exc.ray[: idx.size]
+            u = np.bincount(feature, weights=-sign * exc.ray, minlength=p)
             ray = _recession_ray(S, G, lam, u[:, None])
             if ray is None:
                 raise LpNumericalError("simplex infeasibility proof failed its check") from None
             raise LpInfeasibleError("LPD infeasible at this lambda", ray=ray[:, 0]) from None
         beta = x[:p] - x[p:]
-        viol = (np.abs(S.dot(beta) - d) > lam + 1e-9) & ~active
-        if not viol.any():
+        new = (np.abs(S.dot(beta) - d) > lam * (1.0 + 1e-9)) & ~active
+        if not new.any():
             return beta
-        active |= viol
+        active |= new
     raise LpNumericalError("constraint activation failed to settle")
 
 

@@ -209,10 +209,10 @@ def test_fit_lpd_simplex_failure_exit3(tmp_path, monkeypatch, capsys):
     from glda import solvers
     from glda.simplex import LpNumericalError
 
-    def fail(c, A, b):
+    def fail(lp, A, b):
         raise LpNumericalError("simplex did not terminate within the pivot budget")
 
-    monkeypatch.setattr(solvers, "solve_inequality_lp", fail)
+    monkeypatch.setattr(solvers.InequalityLP, "append", fail)
     train = tmp_path / "train.csv"
     write_training_csv(train)
     out = tmp_path / "m.txt"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from glda import simplex
-from glda.simplex import LpInfeasibleError, solve_inequality_lp
+from glda.simplex import InequalityLP, LpInfeasibleError, solve_inequality_lp
 
 
 def assert_certificate(A, b, y):
@@ -59,22 +59,31 @@ def test_degenerate_redundant_rows_with_negative_rhs():
     assert np.all(A @ x <= b + 1e-9)
 
 
+def _random_lp(rng, mixed_costs):
+    m, n = rng.integers(1, 7), rng.integers(1, 7)
+    A = rng.normal(size=(m, n))
+    b = rng.normal(size=m)
+    if mixed_costs:
+        # box rows x <= 5 keep a cost of either sign bounded, so the
+        # dual pass and then the primal pass both pivot
+        c = rng.normal(size=n)
+        A, b = np.vstack([A, np.eye(n)]), np.r_[b, np.full(n, 5.0)]
+    else:
+        c = rng.uniform(0.1, 2.0, size=n)  # positive costs keep it bounded
+    return c, A, b
+
+
+def _highs(c, A, b):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    return linprog(c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
+
+
 def _check_against_highs(rng, mixed_costs):
     """Solve 60 random LPs and compare with HiGHS; returns the infeasible count."""
-    linprog = pytest.importorskip("scipy.optimize").linprog
     agree = 0
     for _ in range(60):
-        m, n = rng.integers(1, 7), rng.integers(1, 7)
-        A = rng.normal(size=(m, n))
-        b = rng.normal(size=m)
-        if mixed_costs:
-            # box rows x <= 5 keep a cost of either sign bounded, so the
-            # dual pass and then the primal pass both pivot
-            c = rng.normal(size=n)
-            A, b = np.vstack([A, np.eye(n)]), np.r_[b, np.full(n, 5.0)]
-        else:
-            c = rng.uniform(0.1, 2.0, size=n)  # positive costs keep it bounded
-        ref = linprog(c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
+        c, A, b = _random_lp(rng, mixed_costs)
+        ref = _highs(c, A, b)
         if ref.status == 2:
             with pytest.raises(LpInfeasibleError) as info:
                 solve_inequality_lp(c, A, b)
@@ -111,3 +120,95 @@ def test_matches_scipy_with_mixed_sign_costs(monkeypatch):
     monkeypatch.setattr(simplex, "_primal_iterate", primal_spy)
     assert _check_against_highs(np.random.default_rng(1), mixed_costs=True) > 0
     assert passes["dual"] >= 20 and passes["primal"] >= 20
+
+
+# --- rows appended to a solved LP ----------------------------------------
+
+
+def _check_appended_against_highs(rng, mixed_costs):
+    """Solve 60 random LPs, append 1-4 random rows to each solvable one and
+    resume; the result must match HiGHS on the stacked LP. Returns the
+    counts of resumed LPs that were (solvable, infeasible)."""
+    solved = infeasible = 0
+    for _ in range(60):
+        c, A, b = _random_lp(rng, mixed_costs)
+        lp = InequalityLP(c)
+        try:
+            lp.append(A, b)
+        except LpInfeasibleError:
+            continue
+        k = rng.integers(1, 5)
+        A2, b2 = rng.normal(size=(k, c.size)), rng.normal(size=k)
+        A, b = np.vstack([A, A2]), np.r_[b, b2]
+        ref = _highs(c, A, b)
+        if ref.status == 2:
+            with pytest.raises(LpInfeasibleError) as info:
+                lp.append(A2, b2)
+            assert_certificate(A, b, info.value.ray)
+            infeasible += 1
+        else:
+            assert ref.status == 0
+            x, obj = lp.append(A2, b2)
+            assert obj == pytest.approx(ref.fun, abs=1e-7)
+            assert np.all(A @ x <= b + 1e-8)
+            assert np.all(x >= -1e-12)
+            solved += 1
+    return solved, infeasible
+
+
+def test_appended_rows_match_scipy_with_positive_costs():
+    solved, infeasible = _check_appended_against_highs(np.random.default_rng(2), mixed_costs=False)
+    assert solved >= 10 and infeasible > 0
+
+
+def test_appended_rows_match_scipy_after_the_primal_reprice(monkeypatch):
+    # rows appended to an LP whose first solve re-priced for primal pivots:
+    # the basis is optimal for c, so the resume starts dual feasible
+    repriced = []
+    primal = simplex._primal_iterate
+
+    def primal_spy(T, basis):
+        repriced.append(bool(np.any(T[-1, :-1] < 0)))
+        primal(T, basis)
+
+    monkeypatch.setattr(simplex, "_primal_iterate", primal_spy)
+    solved, infeasible = _check_appended_against_highs(np.random.default_rng(3), mixed_costs=True)
+    assert solved >= 10 and infeasible > 0
+    assert sum(repriced) >= 20
+
+
+def test_appended_duplicate_of_a_tight_row_keeps_the_optimum():
+    rng = np.random.default_rng(4)
+    checked = 0
+    for _ in range(30):
+        c, A, b = _random_lp(rng, mixed_costs=True)
+        lp = InequalityLP(c)
+        try:
+            x, obj = lp.append(A, b)
+        except LpInfeasibleError:
+            continue
+        tight = np.flatnonzero(np.abs(A @ x - b) <= 1e-9)
+        if tight.size == 0:
+            continue
+        i = tight[0]
+        # the row itself and three times it: both tight at x
+        A2, b2 = A[[i, i]] * [[1.0], [3.0]], b[[i, i]] * [1.0, 3.0]
+        x2, obj2 = lp.append(A2, b2)
+        assert obj2 == pytest.approx(obj, abs=1e-9)
+        assert np.allclose(x2, x, atol=1e-9)
+        assert obj2 == pytest.approx(_highs(c, np.vstack([A, A2]), np.r_[b, b2]).fun, abs=1e-7)
+        checked += 1
+    assert checked >= 10
+
+
+def test_append_that_empties_the_set_is_certified_against_the_stacked_lp():
+    # x1 + x2 <= 4 and x1 <= 3 solve; x1 + x2 >= 5 then empties the set
+    A = np.array([[1.0, 1.0], [1.0, 0.0]])
+    b = np.array([4.0, 3.0])
+    lp = InequalityLP(np.array([-1.0, -2.0]))
+    x, obj = lp.append(A, b)
+    assert obj == pytest.approx(-8.0, abs=1e-9)
+    A2, b2 = np.array([[-2.0, -2.0]]), np.array([-10.0])
+    with pytest.raises(LpInfeasibleError) as info:
+        lp.append(A2, b2)
+    assert_certificate(np.vstack([A, A2]), np.r_[b, b2], info.value.ray)

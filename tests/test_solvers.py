@@ -467,17 +467,62 @@ def test_lpd_simplex_certifies_every_empty_box_on_the_study_grid(monkeypatch):
     from glda.simulate import sample, sim1_spec
 
     monkeypatch.setattr(solvers, "_proximal_gradient", _empty_seed)
+    append = solvers.InequalityLP.append
+    rounds = []
+
+    def round_spy(lp, A, b):
+        rounds[-1] += 1
+        return append(lp, A, b)
+
+    monkeypatch.setattr(solvers.InequalityLP, "append", round_spy)
     d = sample(sim1_spec(0))
     cs = summarize(d)
     S = pooled_scatter(d, cs)
-    raised = 0
+    proved_in = []
     for delta in cs.deltas:
         for lam in lambda_grid(2.5, 14, 0.8).values:
+            rounds.append(0)
             try:
                 fit_lpd(S, delta, float(lam))
             except LpInfeasibleError as exc:
                 assert_farkas_ray(S, delta, float(lam), exc.ray)
-                raised += 1
+                proved_in.append(rounds[-1])
+    assert len(proved_in) > 0
+    # a proof after round 1 maps rows appended in several rounds back to
+    # their features and signs
+    assert max(proved_in) > 1
+
+
+def test_lpd_is_covariant_under_a_rescaling_of_the_features():
+    # features times s make S times s^2 and delta times s, so at lam times s
+    # the box holds exactly beta / s: the simplex's cuts must not see s
+    from glda.select import lambda_grid
+    from glda.simulate import sample, sim1_spec
+
+    grid = lambda_grid(2.5, 14, 0.8).values
+    fits = {}
+    for s in (1.0, 1e-3, 1e3):
+        for seed in range(2):
+            d = sample(sim1_spec(seed))
+            d = Dataset(d.features * s, d.labels)
+            cs = summarize(d)
+            S = pooled_scatter(d, cs)
+            for k, delta in enumerate(cs.deltas):
+                for lam in grid:
+                    try:
+                        fits[s, seed, k, lam] = fit_lpd(S, delta, float(lam) * s) * s
+                    except LpInfeasibleError:
+                        fits[s, seed, k, lam] = None
+    raised = 0
+    for (s, seed, k, lam), beta in fits.items():
+        base = fits[1.0, seed, k, lam]
+        if base is None:
+            assert beta is None, (s, seed, k, lam)
+            raised += 1
+            continue
+        assert beta is not None, (s, seed, k, lam)
+        assert np.abs(beta - base).max() <= 1e-9 * np.abs(base).max(), (s, seed, k, lam)
+        assert np.array_equal(np.abs(beta) >= 0.25, np.abs(base) >= 0.25), (s, seed, k, lam)
     assert raised > 0
 
 
@@ -492,7 +537,7 @@ def test_lpd_seed_enters_the_first_lp_and_saves_simplex_calls(monkeypatch):
     grid = lambda_grid(2.5, 14, 0.8).values
     lam = float(grid[9])
     assert lam == pytest.approx(0.698, abs=5e-4)
-    real_pg, real_lp = solvers._proximal_gradient, solvers.solve_inequality_lp
+    real_pg, real_lp = solvers._proximal_gradient, solvers.InequalityLP.append
     seeds, lps = [], []
 
     def pg_spy(*args):
@@ -500,12 +545,12 @@ def test_lpd_seed_enters_the_first_lp_and_saves_simplex_calls(monkeypatch):
         seeds.append(X[:, 0].copy())
         return X, report
 
-    def lp_spy(c, A, b):
+    def lp_spy(lp, A, b):
         lps.append(A)
-        return real_lp(c, A, b)
+        return real_lp(lp, A, b)
 
     monkeypatch.setattr(solvers, "_proximal_gradient", pg_spy)
-    monkeypatch.setattr(solvers, "solve_inequality_lp", lp_spy)
+    monkeypatch.setattr(solvers.InequalityLP, "append", lp_spy)
     checked = 0
     for delta in cs.deltas:
         seeds.clear()
