@@ -156,9 +156,17 @@ class PooledScatter:
         return float(self._gram_eigh[0][-1])
 
     @property
+    def rank(self):
+        """Numerical rank of S: its eigenvalues above the numerical-zero cut.
+
+        At most ``dof`` for a ``pooled_scatter``.
+        """
+        return int(np.count_nonzero(self._gram_eigh[2]))
+
+    @property
     def has_null_space(self):
         """Whether S has an eigenvalue at or below the numerical-zero cut."""
-        return int(np.count_nonzero(self._gram_eigh[2])) < self.p
+        return self.rank < self.p
 
     def null_project(self, D):
         """Orthogonal projection of the p x m matrix D onto the null space of S.

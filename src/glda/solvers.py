@@ -4,7 +4,9 @@ Three routes to the discriminant directions:
 
 * ``fit_grouped``   - joint estimator coupling all K-1 directions through a
   per-feature (row-wise) Euclidean norm penalty, solved by accelerated
-  proximal gradient with function-value adaptive restart.
+  proximal gradient with function-value adaptive restart, and finished by
+  Newton's method on the stationarity equations of the support once that
+  support has settled.
 * ``fit_single_lasso`` - one direction at a time under an l1 penalty: the
   grouped problem with a single direction, so one-entry groups.
 * ``fit_lpd``       - one direction at a time, minimum l1 norm subject to an
@@ -49,10 +51,9 @@ __all__ = [
     "LpNumericalError",
 ]
 
-# KKT residual (in units of the internal data scale) below which a run is
-# flagged converged; the early-exit threshold scales with opts.tol so a
-# tighter tol buys a tighter solution.
-_KKT_CONVERGED = 1e-5
+# Iterations the support must hold still before the first Newton attempt;
+# each attempt that does not land doubles it.
+_NEWTON_STEADY = 3
 
 # A row whose norm is within this relative margin above its threshold is
 # snapped to zero, so penalties at exactly lambda_max produce exact zeros.
@@ -158,7 +159,8 @@ def group_prox(x, lam):
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     thr = np.array([lam], dtype=float)
-    return _prox_rows(np.asarray(x, dtype=float)[None, :], thr, thr * _SNAP)[0]
+    rows, _ = _prox_rows(np.asarray(x, dtype=float)[None, :], thr, thr * _SNAP)
+    return rows[0]
 
 
 def _row_norms(M):
@@ -188,12 +190,13 @@ def _grouped_kkt(S, X, G, lam):
 
 def _prox_rows(Z, thr, cut):
     # group soft-threshold of each row at thr; rows with norm at most
-    # cut = thr * _SNAP are zeroed (callers compute cut once per threshold)
+    # cut = thr * _SNAP are zeroed (callers compute cut once per threshold).
+    # Returns the rows and the mask of those kept, the support.
     nrm = _row_norms(Z)
     fac = np.zeros_like(nrm)
     keep = nrm > cut
     fac[keep] = (nrm[keep] - thr[keep]) / nrm[keep]
-    return Z * fac[:, None]
+    return Z * fac[:, None], keep
 
 
 def _grouped_problem(S, deltas, lambdas, positive=False):
@@ -242,6 +245,68 @@ def _recession_ray(S, G, lam, *candidates):
     return None
 
 
+def _support_newton(S, X, G, lam, active, fx, kkt_exit):
+    """Newton's method on the stationarity equations of the rows ``active``.
+
+    On the active rows A the penalty is smooth, and stationarity reads
+    S_AA X_A - G_A + diag(lam_A) U_A = 0 with U_A the unit row directions.
+    Its Hessian is H = S_AA (x) I + blockdiag(lam_j / ||x_j|| (I - u_j u_j')),
+    and since (I - u_j u_j') x_j = 0, H vec(X_A) = vec(S_AA X_A): the Newton
+    step from X lands on the solution Z_A of H vec(Z_A) = vec(G_A -
+    diag(lam_A) U_A). With one direction the block term vanishes and one
+    step is the exact lasso solve S_AA b = delta_A - lam_A sign(b_A). With
+    more, steps repeat from Z while each at least halves the KKT residual
+    of the one before, which quadratic convergence on the right support
+    does and a wrong support does not. H has rank at most K' rank(S) +
+    |A| (K' - 1), so it is singular when |A| > K' rank(S), and no step is
+    tried then.
+
+    Returns (Z, f(Z)) for the first finite Z whose KKT residual is at most
+    ``kkt_exit``, if its objective is at most ``fx``; otherwise None.
+    """
+    a, k = int(np.count_nonzero(active)), X.shape[1]
+    if not 0 < a <= k * S.rank:
+        return None
+    idx = np.flatnonzero(active)
+    FA = S.factor[:, idx]
+    S_AA = FA.T @ FA
+    if k > 1:
+        eye, rows = np.eye(k), np.arange(a)
+        SxI = np.zeros((a, k, a, k))  # S_AA (x) I, indexed (row, column) twice
+        for j in range(k):
+            SxI[:, j, :, j] = S_AA
+    ZA, last = X[idx], math.inf
+    # a finite but tiny row or huge Z may overflow; the checks below reject it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        while True:
+            nrm = _row_norms(ZA)
+            if not np.all(nrm > 0.0):
+                return None
+            U = ZA / nrm[:, None]
+            H = S_AA
+            if k > 1:
+                H = SxI.copy()
+                H[rows, :, rows, :] += (lam[idx] / nrm)[:, None, None] * (
+                    eye - U[:, :, None] * U[:, None, :]
+                )
+                H = H.reshape(a * k, a * k)
+            try:
+                ZA = np.linalg.solve(H, (G[idx] - lam[idx, None] * U).reshape(-1)).reshape(a, k)
+            except np.linalg.LinAlgError:
+                return None
+            if not np.all(np.isfinite(ZA)):
+                return None
+            Z = X.copy()  # the rows off the support are the iterate's zeros
+            Z[idx] = ZA
+            res = _grouped_kkt(S, Z, G, lam)
+            if res <= kkt_exit:
+                fz = _grouped_objective(S, Z, G, lam)
+                return (Z, fz) if fz <= fx else None
+            if not res <= 0.5 * last:
+                return None
+            last = res
+
+
 def _proximal_gradient(S, G, lam, opts):
     """Accelerated proximal gradient on the p x K' grouped problem.
 
@@ -249,8 +314,20 @@ def _proximal_gradient(S, G, lam, opts):
     singular, every 25th iteration that does not exit on its KKT residual
     projects the iterate, and the step since the last such checkpoint,
     onto the null space of S; a projection with positive gain ends the run
-    as ``unbounded`` at that iterate. Returns the p x K' solution and its
-    SolverReport.
+    as ``unbounded`` at that iterate.
+
+    Once the support (the rows the proximal step keeps) has held still for
+    a few iterations and differs from the last support tried, Newton's
+    method on the stationarity equations of that support is tried
+    (``_support_newton``). It ends the run as ``optimal`` only if its point
+    is finite, its objective is at most the last iterate's and it passes
+    the same KKT exit as the iterates; its objective joins the trace. Each
+    attempt that does not land doubles the steady run the next one needs,
+    so a support that keeps moving costs O(log max_iter) attempts. A run
+    that reaches max_iter gets one last attempt if its final support has
+    held still for the first attempt's steady run. The iterates never take
+    the Newton point, so a run on which no attempt lands is the plain
+    accelerated run. Returns the p x K' solution and its SolverReport.
     """
     scale = max(float(np.abs(G).max(initial=0.0)), float(lam.max(initial=0.0)))
     if scale == 0.0:
@@ -272,14 +349,16 @@ def _proximal_gradient(S, G, lam, opts):
     stall = 0
     status, ray = "max_iter", None
     iterations = 0
+    support = tried = np.zeros(Gs.shape[0], dtype=bool)  # x = 0 has no rows
+    steady, need, newton = 0, _NEWTON_STEADY, None
     for m in range(1, opts.max_iter + 1):
         iterations = m
-        xn = _prox_rows(y - (S.dot(y) - Gs) / L, thr, cut)
+        xn, keep = _prox_rows(y - (S.dot(y) - Gs) / L, thr, cut)
         fn = _grouped_objective(S, xn, Gs, ls)
         if fn > fx:
             # restart: a proximal step from x with the exact L cannot increase f
             t = 1.0
-            xn = _prox_rows(x - (S.dot(x) - Gs) / L, thr, cut)
+            xn, keep = _prox_rows(x - (S.dot(x) - Gs) / L, thr, cut)
             fn = _grouped_objective(S, xn, Gs, ls)
         tn = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
         y = xn + ((t - 1.0) / tn) * (xn - x)
@@ -298,10 +377,23 @@ def _proximal_gradient(S, G, lam, opts):
                     status = "unbounded"
                     break
                 x_check = x
+        steady = steady + 1 if (keep == support).all() else 0
+        support = keep
+        if steady >= need and not (keep == tried).all():
+            tried = keep
+            newton = _support_newton(S, x, Gs, ls, keep, fx, kkt_exit)
+            if newton is not None:
+                break
+            need *= 2
+    else:
+        if steady >= _NEWTON_STEADY:
+            newton = _support_newton(S, x, Gs, ls, support, fx, kkt_exit)
+    if newton is not None:
+        x, fx = newton
+        trace.append(fx)
+        status = "optimal"
 
     kkt_scaled = _grouped_kkt(S, x, Gs, ls)
-    if status == "max_iter" and kkt_scaled <= _KKT_CONVERGED:
-        status = "optimal"
     report = SolverReport(
         iterations=iterations,
         objective_trace=np.asarray(trace) * scale * scale,
@@ -321,7 +413,10 @@ def fit_grouped(S, deltas, lambdas, opts=None):
     L is the exact top eigenvalue of S. On an objective increase the
     momentum is reset and one proximal step is taken from the last iterate;
     with the exact L that step does not increase the objective, so the
-    recorded objective trace is monotone.
+    recorded objective trace is monotone. Once the support has held still,
+    Newton's method on the stationarity equations of its rows is tried;
+    its point is returned only if it passes the same KKT exit, with an
+    objective no higher than the last iterate's (see _proximal_gradient).
 
     Returns (DirectionSet, SolverReport). Neither a run that exhausts
     max_iter nor one certified unbounded raises: the report's status says

@@ -287,6 +287,175 @@ def test_lasso_zero_above_linf():
     assert np.all(beta == 0.0)
 
 
+# --- Newton finish on the settled support ---------------------------------
+
+
+def _no_newton(*args):
+    # a support Newton step that never lands: the plain accelerated run
+    return None
+
+
+def _newton_spy(monkeypatch):
+    """Record (|A|, K', landed) for every support Newton attempt."""
+    real = solvers._support_newton
+    attempts = []
+
+    def spy(S, X, G, lam, active, *rest):
+        out = real(S, X, G, lam, active, *rest)
+        attempts.append((int(np.count_nonzero(active)), X.shape[1], out is not None))
+        return out
+
+    monkeypatch.setattr(solvers, "_support_newton", spy)
+    return attempts
+
+
+def _study_problems(seeds):
+    """(S, deltas, grid) of design 1 at each seed, on the criterion-5 grid."""
+    from glda.select import lambda_grid
+    from glda.simulate import sample, sim1_spec
+
+    grid = lambda_grid(2.5, 14, 0.8).values
+    for seed in seeds:
+        d = sample(sim1_spec(seed))
+        cs = summarize(d)
+        yield pooled_scatter(d, cs), cs.deltas, grid
+
+
+def test_support_newton_gate_on_a_hand_lasso():
+    # 0.5 b'Sb - delta'b + |b|_1 with S = diag(1, 2), delta = (3, 4) has
+    # its minimiser at (2, 1.5)
+    S = as_scatter(np.diag([1.0, 2.0]))
+    G = np.array([[3.0], [4.0]])
+    lam = np.ones(2)
+    X = np.array([[0.5], [0.1]])
+    both = np.array([True, True])
+    Z, f = solvers._support_newton(S, X, G, lam, both, np.inf, 1e-12)
+    assert np.allclose(Z[:, 0], [2.0, 1.5], rtol=0, atol=1e-15)
+    assert f == pytest.approx(-4.25, abs=1e-15)
+    # a point above the last objective, a wrong support, a singular block
+    assert solvers._support_newton(S, X, G, lam, both, f - 1.0, 1e-12) is None
+    assert solvers._support_newton(S, X, G, lam, np.array([True, False]), np.inf, 1e-12) is None
+    flat = as_scatter(np.ones((2, 2)))
+    assert solvers._support_newton(flat, X, G, lam, both, np.inf, 1e-12) is None
+
+
+def test_landed_single_step_is_the_exact_support_solve(monkeypatch):
+    # with one direction the Newton step is the lasso solve on the support:
+    # S_AA b_A = delta_A - lam sign(b_A), with every other entry zero
+    attempts = _newton_spy(monkeypatch)
+    checked = 0
+    for S, D, grid in _study_problems(range(5)):
+        for lam in grid:
+            for delta in D:
+                attempts.clear()
+                beta, rep = fit_single_lasso(S, delta, float(lam))
+                if rep.status != "optimal" or not any(landed for *_, landed in attempts):
+                    continue
+                A = np.flatnonzero(beta)
+                FA = S.factor[:, A]
+                ref = np.linalg.solve(FA.T @ FA, delta[A] - lam * np.sign(beta[A]))
+                assert np.abs(beta[A] - ref).max() <= 1e-10 * np.abs(ref).max(), lam
+                # the landed point's objective closes the trace
+                assert rep.objective_trace.size == rep.iterations + 2
+                assert np.all(np.diff(rep.objective_trace) <= 1e-10)
+                checked += 1
+    assert checked > 50
+
+
+def test_newton_finish_keeps_the_statuses_and_supports_of_plain_fista(monkeypatch):
+    problems = list(_study_problems(range(5)))
+
+    def fit_all():
+        out = []
+        for S, D, grid in problems:
+            for lam in grid:
+                ds, rep = fit_grouped(S, D, float(lam))
+                out.append((ds.matrix, rep))
+                for delta in D:
+                    beta, rep = fit_single_lasso(S, delta, float(lam))
+                    out.append((beta[:, None], rep))
+        return out
+
+    newton = fit_all()
+    monkeypatch.setattr(solvers, "_support_newton", _no_newton)
+    plain = fit_all()
+    iters, kkt = np.zeros(2), [[], []]
+    for (X, rep), (Xp, rep_p) in zip(newton, plain):
+        assert rep.status == rep_p.status
+        if rep.status != "optimal":
+            # no attempt lands on these runs, so they are the plain runs
+            assert np.array_equal(X, Xp) and rep.iterations == rep_p.iterations
+            continue
+        support = (np.abs(X) >= 0.25).any(axis=1)
+        assert np.array_equal(support, (np.abs(Xp) >= 0.25).any(axis=1))
+        # both pass the KKT exit; the plain run's coefficients are within
+        # 1e-4 of max|coef| here (9.1e-5 at most)
+        assert np.abs(X - Xp).max() <= 1e-3 * np.abs(Xp).max()
+        iters += rep.iterations, rep_p.iterations
+        kkt[0].append(rep.kkt_residual)
+        kkt[1].append(rep_p.kkt_residual)
+    assert iters[0] < 0.5 * iters[1]
+    assert np.median(kkt[0]) < 1e-3 * np.median(kkt[1])
+
+
+def test_newton_solves_no_system_beyond_the_rank_bound(monkeypatch):
+    # with |A| > K' rank(S) the Hessian is singular; on the default path of
+    # design 1 the unbounded fits reach such supports, and no solve is tried
+    from glda.select import lambda_grid, lambda_max
+    from glda.simulate import sample, sim1_spec
+
+    d = sample(sim1_spec(0))
+    cs = summarize(d)
+    S = pooled_scatter(d, cs)
+    attempts = _newton_spy(monkeypatch)
+    solve = np.linalg.solve
+    sizes = []
+
+    def solve_spy(H, b):
+        sizes.append(H.shape[0])
+        return solve(H, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve_spy)
+    for estimator, k in (("grouped", 2), ("single", 1)):
+        attempts.clear()
+        sizes.clear()
+        for lam in lambda_grid(lambda_max(cs.deltas), 50, 3.0).values:
+            fit_directions(estimator, S, cs.deltas, float(lam))
+        assert all(kp == k for _, kp, _ in attempts)
+        assert any(a > k * S.dof for a, _, _ in attempts), estimator
+        assert len(sizes) > 0 and max(sizes) <= k * k * S.dof, estimator
+
+
+def test_max_iter_run_gets_a_last_newton_attempt(monkeypatch):
+    # design 1, seed 0, study grid point 4: with a budget of 10 iterations
+    # the last attempt, on the support the run ends with, passes the gate
+    S, D, grid = next(_study_problems([0]))
+    lam = float(grid[4])
+    opts = SolverOptions(max_iter=10)
+    ds, rep = fit_grouped(S, D, lam, opts)
+    assert rep.status == "optimal" and rep.iterations == 10
+    assert kkt_residual(S, D, lam, ds) <= 1e-6 * max(np.abs(D).max(), lam)
+    monkeypatch.setattr(solvers, "_support_newton", _no_newton)
+    _, plain = fit_grouped(S, D, lam, opts)
+    assert plain.status == "max_iter"
+
+
+def test_hard_bounded_fit_backs_off_its_newton_attempts(monkeypatch):
+    # design 1, seed 61, lam = 0.698 has a finite minimiser (max_iter=50000
+    # reaches it after 25,322 iterations, with 94 active rows), but its
+    # support keeps moving through the default budget: the run may not end
+    # worse than the plain run's max_iter at KKT residual 1.03e-4, and the
+    # doubling backoff keeps its attempts within log2(max_iter)
+    S, D, grid = next(_study_problems([61]))
+    lam = float(grid[9])
+    assert lam == pytest.approx(0.698, abs=5e-4)
+    attempts = _newton_spy(monkeypatch)
+    _, rep = fit_grouped(S, D, lam)
+    assert rep.status in ("optimal", "max_iter")
+    assert rep.kkt_residual <= 1.03e-4
+    assert 0 < len(attempts) <= np.log2(SolverOptions().max_iter)
+
+
 # --- fit_lpd ------------------------------------------------------------
 
 
