@@ -13,9 +13,13 @@ right-hand side is nonnegative. Only when c has a negative entry is the
 cost row then re-priced with c for primal pivots. After the first batch
 the basis is optimal for c, so later batches again start dual feasible
 and their re-pricing changes nothing but rounding.
-Both passes use Dantzig's rule (most negative right-hand side or reduced
-cost) and fall back to Bland's rule once the count of degenerate pivots
-exceeds ten times the row count, which rules out cycling.
+The dual pass chooses its leaving row by dual steepest edge (Forrest &
+Goldfarb 1992): among the rows with a negative right-hand side, the one
+with the largest rhs_r^2 / ||row r of B^-1||^2, where B^-1 is the
+tableau's slack block, so the weights are exact at every pivot and need no
+update. The primal pass uses Dantzig's rule (most negative reduced cost).
+Both fall back to Bland's rule once the count of degenerate pivots exceeds
+ten times the row count, which rules out cycling.
 
 Every cut is relative to the tableau: an entry to the largest entry of its
 row (dual pass) or column (primal pass), a right-hand side to the largest
@@ -94,7 +98,13 @@ def _dual_iterate(T, basis):
         if short.size == 0:
             return
         bland = degenerate > 10 * m
-        r = int(short[np.argmin(basis[short] if bland else rhs[short])])
+        if bland:
+            r = int(short[np.argmin(basis[short])])
+        else:
+            # dual steepest edge: the largest rhs_r^2 / ||row r of B^-1||^2,
+            # where B^-1 is the slack block
+            Binv = T[short, -1 - m : -1]
+            r = int(short[np.argmax(rhs[short] ** 2 / np.add.reduce(Binv * Binv, axis=1))])
         row = T[r, :-1]
         neg = np.flatnonzero(row < -_RATIO_TOL * _largest(row))
         if neg.size == 0:

@@ -159,7 +159,7 @@ def group_prox(x, lam):
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     thr = np.array([lam], dtype=float)
-    rows, _ = _prox_rows(np.asarray(x, dtype=float)[None, :], thr, thr * _SNAP)
+    rows, _, _ = _prox_rows(np.asarray(x, dtype=float)[None, :], thr, thr * _SNAP)
     return rows[0]
 
 
@@ -171,32 +171,35 @@ def _row_norms(M):
     return np.sqrt(np.add.reduce(M * M, axis=1))
 
 
-def _grouped_objective(S, X, G, lam):
-    FX = S.factor @ X
-    fit = 0.5 * float(np.add.reduce(FX * FX, axis=None)) - float(np.add.reduce(G * X, axis=None))
-    return fit + float(lam @ _row_norms(X))
+def _grouped_objective(S, X, G, lam, FX=None, norms=None):
+    # the proximal-gradient loop passes FX = F @ X and the row norms of X,
+    # which its proximal step already knows
+    if FX is None:
+        FX = S.factor @ X
+    if norms is None:
+        norms = _row_norms(X)
+    return 0.5 * float(np.vdot(FX, FX)) - float(np.vdot(G, X)) + float(lam @ norms)
 
 
-def _grouped_kkt(S, X, G, lam):
-    R = S.dot(X) - G
+def _grouped_kkt(S, X, G, lam, FX=None):
+    R = (S.dot(X) if FX is None else S.factor.T @ FX) - G
     rn = _row_norms(X)
     active = rn > 0
-    out = np.maximum(_row_norms(R) - lam, 0.0)
-    if active.any():
-        adj = R[active] + (lam[active] / rn[active])[:, None] * X[active]
-        out[active] = _row_norms(adj)
-    return float(out.max(initial=0.0))
+    # on a zero row the adjusted residual is R itself
+    nrm = _row_norms(R + np.divide(lam, rn, out=np.zeros(rn.shape), where=active)[:, None] * X)
+    return float(np.where(active, nrm, np.maximum(nrm - lam, 0.0)).max(initial=0.0))
 
 
 def _prox_rows(Z, thr, cut):
     # group soft-threshold of each row at thr; rows with norm at most
     # cut = thr * _SNAP are zeroed (callers compute cut once per threshold).
-    # Returns the rows and the mask of those kept, the support.
+    # Returns the rows, the mask of those kept (the support) and the rows'
+    # norms: a kept row's norm shrinks by thr, the others are zero.
     nrm = _row_norms(Z)
-    fac = np.zeros_like(nrm)
     keep = nrm > cut
-    fac[keep] = (nrm[keep] - thr[keep]) / nrm[keep]
-    return Z * fac[:, None], keep
+    shrunk = (nrm - thr) * keep
+    fac = np.divide(shrunk, nrm, out=np.zeros(nrm.shape), where=keep)
+    return Z * fac[:, None], keep, shrunk
 
 
 def _grouped_problem(S, deltas, lambdas, positive=False):
@@ -311,10 +314,21 @@ def _proximal_gradient(S, G, lam, opts):
     """Accelerated proximal gradient on the p x K' grouped problem.
 
     The step is 1/L with L the exact top eigenvalue of S. When S is
-    singular, every 25th iteration that does not exit on its KKT residual
-    projects the iterate, and the step since the last such checkpoint,
-    onto the null space of S; a projection with positive gain ends the run
-    as ``unbounded`` at that iterate.
+    singular, G itself is projected onto the null space of S before the
+    first iteration; a projection with positive gain ends the run as
+    ``unbounded`` at iteration 0 with x = 0. Otherwise every 25th
+    iteration that does not exit on its KKT residual projects the iterate,
+    and the step since the last such checkpoint, the same way; a
+    projection with positive gain ends the run as ``unbounded`` at that
+    iterate.
+
+    Each iteration forms one product with F and one with F' (S = F'F):
+    F x_{m+1} for the objective, which every objective value gets fresh,
+    and F' F y for the gradient, with F y = F x_{m+1} + beta (F x_{m+1} -
+    F x_m) from the products already made. A restart's step from x reuses
+    F x_m, and the KKT checks reuse the iterate's product. The penalty
+    term takes the row norms the proximal step leaves (||z_j|| - thr_j on
+    a kept row) instead of measuring them again.
 
     Once the support (the rows the proximal step keeps) has held still for
     a few iterations and differs from the last support tried, Newton's
@@ -335,16 +349,23 @@ def _proximal_gradient(S, G, lam, opts):
     Gs = G / scale
     ls = lam / scale
 
+    x = np.zeros_like(Gs)
+    rays = S.has_null_space
+    if rays:
+        ray = _recession_ray(S, Gs, ls, Gs)
+        if ray is not None:
+            kkt = _grouped_kkt(S, x, Gs, ls) * scale
+            return x, SolverReport(0, np.zeros(1), kkt, "unbounded", ray)
+
+    F = S.factor
     L = max(S.top_eigenvalue, np.finfo(float).eps)
     thr = ls / L
     cut = thr * _SNAP
     kkt_exit = _kkt_exit(opts)
-    rays = S.has_null_space
-    x = np.zeros_like(Gs)
-    x_check = x
-    y = x
+    x_check = y = x
+    Fx = Fy = F @ x
     t = 1.0
-    fx = _grouped_objective(S, x, Gs, ls)
+    fx = _grouped_objective(S, x, Gs, ls, Fx)
     trace = [fx]
     stall = 0
     status, ray = "max_iter", None
@@ -353,21 +374,25 @@ def _proximal_gradient(S, G, lam, opts):
     steady, need, newton = 0, _NEWTON_STEADY, None
     for m in range(1, opts.max_iter + 1):
         iterations = m
-        xn, keep = _prox_rows(y - (S.dot(y) - Gs) / L, thr, cut)
-        fn = _grouped_objective(S, xn, Gs, ls)
+        xn, keep, nrm = _prox_rows(y - (F.T @ Fy - Gs) / L, thr, cut)
+        Fxn = F @ xn
+        fn = _grouped_objective(S, xn, Gs, ls, Fxn, nrm)
         if fn > fx:
             # restart: a proximal step from x with the exact L cannot increase f
             t = 1.0
-            xn, keep = _prox_rows(x - (S.dot(x) - Gs) / L, thr, cut)
-            fn = _grouped_objective(S, xn, Gs, ls)
+            xn, keep, nrm = _prox_rows(x - (F.T @ Fx - Gs) / L, thr, cut)
+            Fxn = F @ xn
+            fn = _grouped_objective(S, xn, Gs, ls, Fxn, nrm)
         tn = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        y = xn + ((t - 1.0) / tn) * (xn - x)
+        beta = (t - 1.0) / tn
+        y = xn + beta * (xn - x)
+        Fy = Fxn + beta * (Fxn - Fx)
         rel = abs(fn - fx) / max(1.0, abs(fx), abs(fn))
         stall = stall + 1 if rel < opts.tol else 0
-        x, fx, t = xn, fn, tn
+        x, Fx, fx, t = xn, Fxn, fn, tn
         trace.append(fx)
         if stall >= 2 or m % 25 == 0:
-            if _grouped_kkt(S, x, Gs, ls) <= kkt_exit:
+            if _grouped_kkt(S, x, Gs, ls, Fx) <= kkt_exit:
                 status = "optimal"
                 break
             stall = 0
@@ -421,7 +446,11 @@ def fit_grouped(S, deltas, lambdas, opts=None):
     Returns (DirectionSet, SolverReport). Neither a run that exhausts
     max_iter nor one certified unbounded raises: the report's status says
     which, and an unbounded run returns the finite iterate at which the
-    certificate was found, with the certifying ray on its report.
+    certificate was found, with the certifying ray on its report. When S
+    is singular the null-space projection of the contrasts is checked
+    before the first iteration; if it certifies, the run returns zeros
+    after 0 iterations. Later certificates come at 25-iteration
+    checkpoints (see _proximal_gradient).
     """
     X, report = _proximal_gradient(*_grouped_problem(S, deltas, lambdas), opts or SolverOptions())
     return DirectionSet(X), report

@@ -399,8 +399,8 @@ def test_newton_finish_keeps_the_statuses_and_supports_of_plain_fista(monkeypatc
 
 
 def test_newton_solves_no_system_beyond_the_rank_bound(monkeypatch):
-    # with |A| > K' rank(S) the Hessian is singular; on the default path of
-    # design 1 the unbounded fits reach such supports, and no solve is tried
+    # with |A| > K' rank(S) the Hessian is singular and no solve is tried;
+    # on the default path of design 1 no solve exceeds K'^2 dof either
     from glda.select import lambda_grid, lambda_max
     from glda.simulate import sample, sim1_spec
 
@@ -417,13 +417,19 @@ def test_newton_solves_no_system_beyond_the_rank_bound(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", solve_spy)
     for estimator, k in (("grouped", 2), ("single", 1)):
+        G = np.ascontiguousarray(cs.deltas[:k].T)
+        active = np.zeros(S.p, dtype=bool)
+        active[: k * S.rank + 1] = True
+        X = active[:, None] * np.ones(k)
+        penalty = np.full(S.p, 0.5)
+        assert solvers._support_newton(S, X, G, penalty, active, np.inf, 1.0) is None
+        assert sizes == [], estimator
         attempts.clear()
-        sizes.clear()
         for lam in lambda_grid(lambda_max(cs.deltas), 50, 3.0).values:
             fit_directions(estimator, S, cs.deltas, float(lam))
         assert all(kp == k for _, kp, _ in attempts)
-        assert any(a > k * S.dof for a, _, _ in attempts), estimator
         assert len(sizes) > 0 and max(sizes) <= k * k * S.dof, estimator
+        sizes.clear()
 
 
 def test_max_iter_run_gets_a_last_newton_attempt(monkeypatch):
@@ -693,6 +699,34 @@ def test_lpd_is_covariant_under_a_rescaling_of_the_features():
         assert np.abs(beta - base).max() <= 1e-9 * np.abs(base).max(), (s, seed, k, lam)
         assert np.array_equal(np.abs(beta) >= 0.25, np.abs(base) >= 0.25), (s, seed, k, lam)
     assert raised > 0
+
+
+def test_lpd_pivot_count_on_the_study_grid(monkeypatch):
+    # dual steepest-edge pricing takes 476 pivots over design 1, seeds 0-1,
+    # both directions at the 14 study penalties (Dantzig's rule took 682)
+    from glda import simplex
+    from glda.select import lambda_grid
+    from glda.simulate import sample, sim1_spec
+
+    pivot = simplex._pivot
+    pivots = []
+
+    def pivot_spy(T, r, q):
+        pivots.append(r)
+        pivot(T, r, q)
+
+    monkeypatch.setattr(simplex, "_pivot", pivot_spy)
+    for seed in range(2):
+        d = sample(sim1_spec(seed))
+        cs = summarize(d)
+        S = pooled_scatter(d, cs)
+        for delta in cs.deltas:
+            for lam in lambda_grid(2.5, 14, 0.8).values:
+                try:
+                    fit_lpd(S, delta, float(lam))
+                except LpInfeasibleError:
+                    pass
+    assert len(pivots) == 476
 
 
 def test_lpd_seed_enters_the_first_lp_and_saves_simplex_calls(monkeypatch):
@@ -1054,16 +1088,54 @@ def test_single_unbounded_exactly_when_lpd_infeasible(singular_problem):
                 assert_certifying_ray(S, delta[None, :], lam, beta[:, None], rep.ray)
 
 
-def test_unbounded_at_zero_penalty_stops_early():
-    # N - K = 2 with p = 6 and lam = 0: delta has a component in the null
-    # space of S, so the objective falls without bound
+def _tiny_singular_problem():
+    # N - K = 2 with p = 6: delta has a component in the null space of S
     rng = np.random.default_rng(0)
     d = Dataset(rng.normal(size=(5, 6)), np.array([1, 1, 2, 2, 3]))
     cs = summarize(d)
+    return pooled_scatter(d, cs), cs.deltas
+
+
+def test_unbounded_at_zero_penalty_stops_early():
+    # at lam = 0 the null-space projection of G is itself a ray, so the fit
+    # ends before its first iteration, at x = 0
+    S, D = _tiny_singular_problem()
+    ds, rep = fit_grouped(S, D, 0.0)
+    assert rep.status == "unbounded" and rep.iterations == 0
+    assert not ds.matrix.any()
+    assert_certifying_ray(S, D, 0.0, ds.matrix, rep.ray)
+
+
+def test_unbounded_past_the_projection_of_g_is_found_at_a_checkpoint():
+    # at lam = 0.8 the projection of G loses to the penalty, yet the
+    # objective is still unbounded: a later checkpoint finds the ray
+    S, D = _tiny_singular_problem()
+    lam = 0.8
+    G = D.T
+    assert solvers._recession_ray(S, G, np.full(S.p, lam), G) is None
+    ds, rep = fit_grouped(S, D, lam)
+    assert rep.status == "unbounded"
+    assert rep.iterations > 0 and rep.iterations % 25 == 0
+    assert_certifying_ray(S, D, lam, ds.matrix, rep.ray)
+
+
+def test_default_path_fits_certified_before_the_first_iteration():
+    # design 1, seed 0, default 50-point path: the projection of G certifies
+    # 36 of the 38 unbounded grouped fits and 69 of the 74 unbounded single
+    # fits at iteration 0
+    from glda.select import lambda_grid, lambda_max
+    from glda.simulate import sample, sim1_spec
+
+    d = sample(sim1_spec(0))
+    cs = summarize(d)
     S = pooled_scatter(d, cs)
-    ds, rep = fit_grouped(S, cs.deltas, 0.0)
-    assert rep.status == "unbounded" and rep.iterations == 25
-    assert_certifying_ray(S, cs.deltas, 0.0, ds.matrix, rep.ray)
+    for estimator, unbounded, at_zero in (("grouped", 38, 36), ("single", 74, 69)):
+        reports = []
+        for lam in lambda_grid(lambda_max(cs.deltas), 50, 3.0).values:
+            reports += fit_directions(estimator, S, cs.deltas, float(lam))[1]
+        assert sum(r.status == "unbounded" for r in reports) == unbounded, estimator
+        assert sum(r.iterations == 0 for r in reports) == at_zero, estimator
+        assert all(r.status == "unbounded" for r in reports if r.iterations == 0)
 
 
 def test_singular_scatter_with_delta_in_its_range_is_bounded():
