@@ -3,7 +3,7 @@
 Every command is deterministic given its flags and seed; output files are
 written atomically. Exit codes: 0 success, 2 usage/parse errors, 3 solver
 non-convergence (a fit not ending optimal under --strict, or an LPD simplex
-that ran out of pivots or whose constraint activation did not settle), 4
+that ran out of pivots or whose proof of an empty box failed its check), 4
 infeasible LPD, 5 a class smaller than the fold count, 6 model/data
 dimension mismatch.
 """

@@ -125,6 +125,8 @@ class PooledScatter:
         F = _frozen(self.factor)
         if F.ndim != 2 or F.size == 0:
             raise ValueError("scatter factor must be a non-empty 2-d array")
+        if not np.all(np.isfinite(F)):
+            raise ValueError("scatter factor must be finite")
         object.__setattr__(self, "factor", F)
         if self.dof < 1:
             raise ValueError("insufficient degrees of freedom")
@@ -255,7 +257,8 @@ def pooled_scatter(d: Dataset, cs: ClassSummaries) -> PooledScatter:
 def as_scatter(S) -> PooledScatter:
     """A PooledScatter as it is, or a square PSD array factored once with eigh.
 
-    A square array is symmetrised first; its dof is unknown and set to 1.
+    A square array must be finite and is symmetrised first; its dof is
+    unknown and set to 1.
     Eigenvalues within NULL_CUT of the largest around zero are set to zero,
     so the factor's null space is the scatter's; a more negative one is
     rejected.
@@ -265,6 +268,8 @@ def as_scatter(S) -> PooledScatter:
     M = np.asarray(S, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
         raise ValueError("scatter must be a non-empty square matrix")
+    if not np.all(np.isfinite(M)):
+        raise ValueError("scatter must be finite")
     w, V = np.linalg.eigh((M + M.T) / 2.0)
     if w[0] < -NULL_CUT * w[-1]:
         raise ValueError("scatter must be positive semidefinite")

@@ -1,33 +1,30 @@
 """Dense dual simplex for the small linear programs used by the solvers.
 
-``InequalityLP(c)`` minimises c'x subject to Ax <= b, x >= 0 for rows that
-arrive in batches. It keeps the full tableau [A | I | b] between batches.
-``append(A, b)`` scales each new row to unit max-norm, eliminates it against
-the current basis with its own slack basic, and resumes pivoting from the
-last basis. ``solve_inequality_lp(c, A, b)`` is the one-batch use.
+``InequalityLP(c)`` minimises c'x subject to Ax <= b, x >= 0 for a finite,
+nonnegative c and rows that arrive in batches. It keeps the full tableau
+[A | I | b] between batches. ``append(A, b)`` scales each new row to unit
+max-norm, eliminates it against the current basis with its own slack basic,
+and resumes pivoting from the last basis.
 
-The empty tableau is priced at c+ = max(c, 0). The all-slack basis is dual
+The empty tableau is priced at c. With c >= 0 the all-slack basis is dual
 feasible there, and appended rows with basic slacks leave the cost row as
 it is, so every batch starts dual feasible: dual pivots run until the
-right-hand side is nonnegative. Only when c has a negative entry is the
-cost row then re-priced with c for primal pivots. After the first batch
-the basis is optimal for c, so later batches again start dual feasible
-and their re-pricing changes nothing but rounding.
+right-hand side is nonnegative, and the basis is then optimal. The
+objective is bounded below by 0, so no batch is unbounded.
 The dual pass chooses its leaving row by dual steepest edge (Forrest &
 Goldfarb 1992): among the rows with a negative right-hand side, the one
 with the largest rhs_r^2 / ||row r of B^-1||^2, where B^-1 is the
 tableau's slack block, so the weights are exact at every pivot and need no
-update. The primal pass uses Dantzig's rule (most negative reduced cost).
-Both fall back to Bland's rule once the count of degenerate pivots exceeds
-ten times the row count, which rules out cycling.
+update. It falls back to Bland's rule once the count of degenerate pivots
+exceeds ten times the row count, which rules out cycling.
 
 Every cut is relative to the tableau: an entry to the largest entry of its
-row (dual pass) or column (primal pass), a right-hand side to the largest
-right-hand side, and a reduced cost or dual ratio to the largest reduced
-cost. With the rows at unit max-norm, scaling any row of [A | b] by a
-positive factor, or all of b or c by one, leaves the pivots as they are up
-to rounding. So ``solvers.fit_lpd`` on features rescaled by s, whose rows
-scale by s^2 and b by s, takes the same pivots.
+row, a right-hand side to the largest right-hand side, and a reduced cost
+or dual ratio to the largest reduced cost. With the rows at unit max-norm,
+scaling any row of [A | b] by a positive factor, or all of b or c by one,
+leaves the pivots as they are up to rounding. So ``solvers.fit_lpd`` on
+features rescaled by s, whose rows scale by s^2 and b by s, takes the same
+pivots.
 
 Every infeasibility comes with a certificate. A dual ratio test that finds
 no entering column on row r makes the slack block of that row, which is row
@@ -38,9 +35,8 @@ entry per appended row in the order appended.
 
 import numpy as np
 
-__all__ = ["InequalityLP", "LpInfeasibleError", "LpNumericalError", "solve_inequality_lp"]
+__all__ = ["InequalityLP", "LpInfeasibleError", "LpNumericalError"]
 
-_ENTER_TOL = 1e-9
 _RATIO_TOL = 1e-9
 _FEAS_TOL = 1e-9
 _TIE_TOL = 1e-12
@@ -61,7 +57,11 @@ class LpInfeasibleError(Exception):
 
 
 class LpNumericalError(Exception):
-    """The pivot budget ran out, or the objective is unbounded below."""
+    """The simplex ran out of its pivot budget.
+
+    ``solvers.fit_lpd`` also raises it when a proof of an empty box fails
+    its null-space check.
+    """
 
 
 def _pivot(T, r, q):
@@ -119,33 +119,6 @@ def _dual_iterate(T, basis):
     raise LpNumericalError("simplex did not terminate within the pivot budget")
 
 
-def _primal_iterate(T, basis):
-    """Run primal pivots until no reduced cost is negative."""
-    m = len(basis)
-    rhs_scale = _largest(T[:-1, -1])
-    degenerate = 0
-    for _ in range(_budget(T)):
-        costs = T[-1, :-1]
-        neg = np.flatnonzero(costs < -_ENTER_TOL * _largest(costs))
-        if neg.size == 0:
-            return
-        bland = degenerate > 10 * m
-        q = int(neg[0]) if bland else int(np.argmin(costs))
-        col = T[:-1, q]
-        pos = col > _RATIO_TOL * _largest(col)
-        if not pos.any():
-            raise LpNumericalError("unbounded objective")
-        ratios = np.full(m, np.inf)
-        ratios[pos] = T[:-1, -1][pos] / col[pos]
-        rmin = ratios.min()
-        ties = np.flatnonzero(ratios <= rmin + _TIE_TOL * (rhs_scale + abs(rmin)))
-        r = int(ties[np.argmin(basis[ties])]) if bland else int(ties[np.argmax(col[ties])])
-        degenerate += rmin <= _DEGENERATE_TOL * rhs_scale
-        _pivot(T, r, q)
-        basis[r] = q
-    raise LpNumericalError("simplex did not terminate within the pivot budget")
-
-
 class InequalityLP:
     """min c'x over {x >= 0 : Ax <= b}, with the rows of A appended in batches.
 
@@ -157,25 +130,29 @@ class InequalityLP:
         c = np.asarray(c, dtype=float)
         if c.ndim != 1:
             raise ValueError("inconsistent LP dimensions")
-        self._c = c
+        if not np.all(np.isfinite(c) & (c >= 0)):
+            raise ValueError("LP costs must be finite and nonnegative")
+        self._n = c.size
         self._T = np.zeros((1, c.size + 1))
-        self._T[0, :-1] = np.maximum(c, 0.0)
+        self._T[0, :-1] = c
         self._basis = np.zeros(0, dtype=int)
         self._row_scale = np.zeros(0)
 
     def append(self, A, b):
         """Add the rows Ax <= b and re-optimise. Returns (x, objective).
 
-        Raises LpInfeasibleError, with its certificate over all rows
-        appended so far as ``ray``, when the constraint set is empty, and
-        LpNumericalError when the objective is unbounded below or the pivot
-        budget runs out.
+        Raises ValueError for rows that do not fit the LP or are not finite,
+        LpInfeasibleError, with its certificate over all rows appended so
+        far as ``ray``, when the constraint set is empty, and
+        LpNumericalError when the pivot budget runs out.
         """
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
-        n, m, k = self._c.size, self._basis.size, b.size
-        if A.ndim != 2 or A.shape != (k, n):
+        n, m, k = self._n, self._basis.size, b.size
+        if b.ndim != 1 or A.ndim != 2 or A.shape != (k, n):
             raise ValueError("inconsistent LP dimensions")
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+            raise ValueError("LP rows must be finite")
         scale = np.abs(A).max(axis=1, initial=0.0)
         scale[scale == 0.0] = 1.0
         old = self._T
@@ -195,21 +172,7 @@ class InequalityLP:
         except LpInfeasibleError as exc:
             exc.ray = exc.ray / self._row_scale
             raise
-        if np.any(self._c < 0):
-            cost = np.concatenate([self._c, np.zeros(m + k + 1)])
-            T[-1] = cost - cost[basis] @ T[:-1]
-            _primal_iterate(T, basis)
         x = np.zeros(n)
         structural = basis < n
         x[basis[structural]] = T[:-1, -1][structural]
         return x, float(-T[-1, -1])
-
-
-def solve_inequality_lp(c, A, b):
-    """Minimize c'x over {x >= 0 : Ax <= b}. Returns (x, objective).
-
-    Raises LpInfeasibleError, with its certificate as ``ray``, when the
-    constraint set is empty, and LpNumericalError when the objective is
-    unbounded below or the pivot budget runs out.
-    """
-    return InequalityLP(c).append(A, b)

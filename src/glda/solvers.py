@@ -205,8 +205,9 @@ def _prox_rows(Z, thr, cut):
 def _grouped_problem(S, deltas, lambdas, positive=False):
     """Validated (PooledScatter, p x K' contrast matrix, per-feature penalties).
 
-    Every fit checks its (S, deltas, lambda) here. Penalties must be finite
-    and nonnegative, or strictly positive when ``positive`` is set.
+    Every fit checks its (S, deltas, lambda) here. Contrasts must be finite,
+    and penalties finite and nonnegative, or strictly positive when
+    ``positive`` is set.
     """
     S = as_scatter(S)
     p = S.p
@@ -215,6 +216,8 @@ def _grouped_problem(S, deltas, lambdas, positive=False):
         D = D[None, :]
     if D.ndim != 2 or D.shape[1] != p:
         raise ValueError("deltas must be K-1 vectors of length p")
+    if not np.all(np.isfinite(D)):
+        raise ValueError("deltas must be finite")
     G = np.ascontiguousarray(D.T)  # p x K'
     lam = np.broadcast_to(np.asarray(lambdas, dtype=float), (p,)).astype(float)
     if not np.all(np.isfinite(lam)):
@@ -497,7 +500,8 @@ def fit_lpd(S, delta, lam):
     nonsingular S skips the pre-check: its box always holds S^-1 delta.
 
     Raises LpInfeasibleError when the constraint set is empty, and
-    LpNumericalError when the simplex fails or its proof fails the check.
+    LpNumericalError when the simplex runs out of pivots or its proof
+    fails the check.
     """
     S, G, lam = _grouped_problem(S, np.reshape(delta, (1, -1)), lam, positive=True)
     p, F = S.p, S.factor
@@ -514,7 +518,7 @@ def fit_lpd(S, delta, lam):
     lp = InequalityLP(np.ones(2 * p))
     feature, sign = np.zeros(0, dtype=int), np.zeros(0)
     new = active
-    for _ in range(p + 1):
+    while True:
         idx = np.flatnonzero(new)
         rows = F[:, idx].T @ F
         A = np.vstack([np.hstack([rows, -rows]), np.hstack([-rows, rows])])
@@ -534,7 +538,6 @@ def fit_lpd(S, delta, lam):
         if not new.any():
             return beta
         active |= new
-    raise LpNumericalError("constraint activation failed to settle")
 
 
 def fit_directions(estimator, S, deltas, lam):

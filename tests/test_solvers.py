@@ -807,6 +807,41 @@ def test_fits_reject_negative_or_non_finite_lambda(fit, lam):
         fit(np.eye(2), np.array([1.0, 1.0]), lam)
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: fit_grouped(np.eye(3), [[np.nan, 1.0, 0.0]], 0.1), "deltas must be finite"),
+        (lambda: fit_single_lasso(np.eye(3), [np.nan, 1.0, 0.0], 0.1), "deltas must be finite"),
+        (lambda: fit_lpd(np.eye(3), [np.nan, 1.0, 0.0], 0.1), "deltas must be finite"),
+        (lambda: fit_directions("lpd", np.eye(3), [[np.inf, 1.0, 0.0]], 0.1), "deltas must be finite"),
+        (lambda: oracle_restricted_fit(np.eye(3), [np.nan, 1.0, 0.0], [0, 1]), "deltas must be finite"),
+        (
+            lambda: kkt_residual(np.eye(3), [[np.nan, 1.0, 0.0]], 0.1, DirectionSet(np.zeros((3, 1)))),
+            "deltas must be finite",
+        ),
+        (lambda: PooledScatter(factor=[[1.0, np.inf], [0.0, 1.0]], dof=1), "scatter factor must be finite"),
+        (lambda: as_scatter([[np.nan, 0.0], [0.0, 1.0]]), "scatter must be finite"),
+        (lambda: as_scatter([[np.inf, 0.0], [0.0, 1.0]]), "scatter must be finite"),
+        (lambda: fit_grouped([[1.0, 0.0], [0.0, np.nan]], [[1.0, 1.0]], 0.1), "scatter must be finite"),
+    ],
+    ids=[
+        "grouped-delta",
+        "single-delta",
+        "lpd-delta",
+        "directions-delta",
+        "oracle-delta",
+        "kkt-delta",
+        "factor-inf",
+        "scatter-nan",
+        "scatter-inf",
+        "grouped-scatter",
+    ],
+)
+def test_non_finite_contrasts_and_scatters_are_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_lpd_feasibility_and_dominance_over_feasible_points():
     rng = np.random.default_rng(21)
     for _ in range(10):
