@@ -11,7 +11,6 @@ from .model import (
 )
 from .solvers import (
     LpInfeasibleError,
-    SolverOptions,
     SolverReport,
     TheoreticalLambdaParams,
     fit_directions,

@@ -80,6 +80,8 @@ def lambda_max(deltas) -> float:
     D = np.asarray(deltas, dtype=float)
     if D.ndim == 1:
         D = D[None, :]
+    if not np.all(np.isfinite(D)):
+        raise ValueError("deltas must be finite")
     return float(np.linalg.norm(D, axis=0).max())
 
 

@@ -154,17 +154,16 @@ def covariance_summary(sigma) -> CovarianceSummary:
     return CovarianceSummary(plus_min=float(d.min()), plus_max=float(d.max()), minus_max=off)
 
 
-def event_d_check(S, sigma, off_tol: float = 0.0) -> bool:
-    """Check S-_max <= 2 Sigma-_max (+off_tol) and S+_min >= Sigma+_min / 2.
+def event_d_check(S, sigma) -> bool:
+    """Check S-_max <= 2 Sigma-_max and S+_min >= Sigma+_min / 2.
 
     `S` may be a PooledScatter or a square array, `sigma` the population
     matrix or its CovarianceSummary. The off-diagonal test is read
-    literally when Sigma-_max = 0; pass a small off_tol to absorb
-    floating-point noise in that case.
+    literally when Sigma-_max = 0: any off-diagonal noise in S fails it.
     """
     s = covariance_summary(S.matrix if isinstance(S, PooledScatter) else S)
     pop = sigma if isinstance(sigma, CovarianceSummary) else covariance_summary(sigma)
-    return s.minus_max <= 2.0 * pop.minus_max + off_tol and s.plus_min >= 0.5 * pop.plus_min
+    return s.minus_max <= 2.0 * pop.minus_max and s.plus_min >= 0.5 * pop.plus_min
 
 
 def cone_condition_check(estimated: DirectionSet, truth: DirectionSet, T) -> bool:
@@ -189,7 +188,7 @@ def delta_quadratic(sigma, delta) -> float:
 
 def bayes_error_binary(delta_quad: float) -> float:
     """Bayes error of the equal-prior binary Gaussian problem with gap Delta."""
-    if delta_quad < 0:
-        raise ValueError("Delta must be nonnegative")
+    if not 0 <= delta_quad < math.inf:
+        raise ValueError("Delta must be finite and nonnegative")
     z = -math.sqrt(delta_quad) / 2.0
     return 0.5 * math.erfc(-z / math.sqrt(2.0))

@@ -34,7 +34,6 @@ from .model import NULL_CUT, DirectionSet, as_scatter
 from .simplex import InequalityLP, LpInfeasibleError, LpNumericalError
 
 __all__ = [
-    "SolverOptions",
     "SolverReport",
     "TheoreticalLambdaParams",
     "group_prox",
@@ -51,6 +50,18 @@ __all__ = [
     "LpNumericalError",
 ]
 
+# Iteration budget of a proximal-gradient fit. ``_proximal_gradient`` reads
+# it at call time.
+_MAX_ITER = 5000
+
+# Relative change in the objective below which an iteration counts as
+# stalled; two stalled iterations in a row trigger a KKT check.
+_STALL_TOL = 1e-8
+
+# A fit is optimal once its KKT residual, in units of max(|G|_inf, lam),
+# is at most this.
+_KKT_EXIT = 1e-6
+
 # Iterations the support must hold still before the first Newton attempt;
 # each attempt that does not land doubles it.
 _NEWTON_STEADY = 3
@@ -64,24 +75,6 @@ _SNAP = 1.0 + 1e-12
 _RAY_GAIN = 1e-9
 
 STATUSES = ("optimal", "max_iter", "unbounded")
-
-
-def _kkt_exit(opts):
-    return max(100.0 * opts.tol, 1e-13)
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Iteration controls shared by the proximal-gradient fits."""
-
-    max_iter: int = 5000
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -141,6 +134,8 @@ class TheoreticalLambdaParams:
 
     def __post_init__(self):
         vals = (self.sigma_max_plus, self.delta_total, self.K, self.N, self.pi_bar)
+        if not all(math.isfinite(v) for v in (*vals, self.t)):
+            raise ValueError("parameters must be finite")
         if any(v <= 0 for v in vals):
             raise ValueError("parameters must be strictly positive")
         if self.t < 0:
@@ -251,7 +246,7 @@ def _recession_ray(S, G, lam, *candidates):
     return None
 
 
-def _support_newton(S, X, G, lam, active, fx, kkt_exit):
+def _support_newton(S, X, G, lam, active, fx):
     """Newton's method on the stationarity equations of the rows ``active``.
 
     On the active rows A the penalty is smooth, and stationarity reads
@@ -259,16 +254,16 @@ def _support_newton(S, X, G, lam, active, fx, kkt_exit):
     Its Hessian is H = S_AA (x) I + blockdiag(lam_j / ||x_j|| (I - u_j u_j')),
     and since (I - u_j u_j') x_j = 0, H vec(X_A) = vec(S_AA X_A): the Newton
     step from X lands on the solution Z_A of H vec(Z_A) = vec(G_A -
-    diag(lam_A) U_A). With one direction the block term vanishes and one
-    step is the exact lasso solve S_AA b = delta_A - lam_A sign(b_A). With
-    more, steps repeat from Z while each at least halves the KKT residual
-    of the one before, which quadratic convergence on the right support
-    does and a wrong support does not. H has rank at most K' rank(S) +
-    |A| (K' - 1), so it is singular when |A| > K' rank(S), and no step is
-    tried then.
+    diag(lam_A) U_A). With one direction u_j = sign(b_j), so the block term
+    is exactly zero and one step is the exact lasso solve S_AA b = delta_A -
+    lam_A sign(b_A). With more, steps repeat from Z while each at least
+    halves the KKT residual of the one before, which quadratic convergence
+    on the right support does and a wrong support does not. H has rank at
+    most K' rank(S) + |A| (K' - 1), so it is singular when |A| > K' rank(S),
+    and no step is tried then.
 
     Returns (Z, f(Z)) for the first finite Z whose KKT residual is at most
-    ``kkt_exit``, if its objective is at most ``fx``; otherwise None.
+    ``_KKT_EXIT``, if its objective is at most ``fx``; otherwise None.
     """
     a, k = int(np.count_nonzero(active)), X.shape[1]
     if not 0 < a <= k * S.rank:
@@ -276,11 +271,10 @@ def _support_newton(S, X, G, lam, active, fx, kkt_exit):
     idx = np.flatnonzero(active)
     FA = S.factor[:, idx]
     S_AA = FA.T @ FA
-    if k > 1:
-        eye, rows = np.eye(k), np.arange(a)
-        SxI = np.zeros((a, k, a, k))  # S_AA (x) I, indexed (row, column) twice
-        for j in range(k):
-            SxI[:, j, :, j] = S_AA
+    eye, rows = np.eye(k), np.arange(a)
+    SxI = np.zeros((a, k, a, k))  # S_AA (x) I, indexed (row, column) twice
+    for j in range(k):
+        SxI[:, j, :, j] = S_AA
     ZA, last = X[idx], math.inf
     # a finite but tiny row or huge Z may overflow; the checks below reject it
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -289,15 +283,14 @@ def _support_newton(S, X, G, lam, active, fx, kkt_exit):
             if not np.all(nrm > 0.0):
                 return None
             U = ZA / nrm[:, None]
-            H = S_AA
-            if k > 1:
-                H = SxI.copy()
-                H[rows, :, rows, :] += (lam[idx] / nrm)[:, None, None] * (
-                    eye - U[:, :, None] * U[:, None, :]
-                )
-                H = H.reshape(a * k, a * k)
+            H = SxI.copy()
+            H[rows, :, rows, :] += (lam[idx] / nrm)[:, None, None] * (
+                eye - U[:, :, None] * U[:, None, :]
+            )
             try:
-                ZA = np.linalg.solve(H, (G[idx] - lam[idx, None] * U).reshape(-1)).reshape(a, k)
+                ZA = np.linalg.solve(
+                    H.reshape(a * k, a * k), (G[idx] - lam[idx, None] * U).reshape(-1)
+                ).reshape(a, k)
             except np.linalg.LinAlgError:
                 return None
             if not np.all(np.isfinite(ZA)):
@@ -305,7 +298,7 @@ def _support_newton(S, X, G, lam, active, fx, kkt_exit):
             Z = X.copy()  # the rows off the support are the iterate's zeros
             Z[idx] = ZA
             res = _grouped_kkt(S, Z, G, lam)
-            if res <= kkt_exit:
+            if res <= _KKT_EXIT:
                 fz = _grouped_objective(S, Z, G, lam)
                 return (Z, fz) if fz <= fx else None
             if not res <= 0.5 * last:
@@ -313,7 +306,7 @@ def _support_newton(S, X, G, lam, active, fx, kkt_exit):
             last = res
 
 
-def _proximal_gradient(S, G, lam, opts):
+def _proximal_gradient(S, G, lam):
     """Accelerated proximal gradient on the p x K' grouped problem.
 
     The step is 1/L with L the exact top eigenvalue of S. When S is
@@ -340,8 +333,8 @@ def _proximal_gradient(S, G, lam, opts):
     is finite, its objective is at most the last iterate's and it passes
     the same KKT exit as the iterates; its objective joins the trace. Each
     attempt that does not land doubles the steady run the next one needs,
-    so a support that keeps moving costs O(log max_iter) attempts. A run
-    that reaches max_iter gets one last attempt if its final support has
+    so a support that keeps moving costs O(log _MAX_ITER) attempts. A run
+    that reaches _MAX_ITER gets one last attempt if its final support has
     held still for the first attempt's steady run. The iterates never take
     the Newton point, so a run on which no attempt lands is the plain
     accelerated run. Returns the p x K' solution and its SolverReport.
@@ -364,7 +357,6 @@ def _proximal_gradient(S, G, lam, opts):
     L = max(S.top_eigenvalue, np.finfo(float).eps)
     thr = ls / L
     cut = thr * _SNAP
-    kkt_exit = _kkt_exit(opts)
     x_check = y = x
     Fx = Fy = F @ x
     t = 1.0
@@ -375,7 +367,7 @@ def _proximal_gradient(S, G, lam, opts):
     iterations = 0
     support = tried = np.zeros(Gs.shape[0], dtype=bool)  # x = 0 has no rows
     steady, need, newton = 0, _NEWTON_STEADY, None
-    for m in range(1, opts.max_iter + 1):
+    for m in range(1, _MAX_ITER + 1):
         iterations = m
         xn, keep, nrm = _prox_rows(y - (F.T @ Fy - Gs) / L, thr, cut)
         Fxn = F @ xn
@@ -391,11 +383,11 @@ def _proximal_gradient(S, G, lam, opts):
         y = xn + beta * (xn - x)
         Fy = Fxn + beta * (Fxn - Fx)
         rel = abs(fn - fx) / max(1.0, abs(fx), abs(fn))
-        stall = stall + 1 if rel < opts.tol else 0
+        stall = stall + 1 if rel < _STALL_TOL else 0
         x, Fx, fx, t = xn, Fxn, fn, tn
         trace.append(fx)
         if stall >= 2 or m % 25 == 0:
-            if _grouped_kkt(S, x, Gs, ls, Fx) <= kkt_exit:
+            if _grouped_kkt(S, x, Gs, ls, Fx) <= _KKT_EXIT:
                 status = "optimal"
                 break
             stall = 0
@@ -409,13 +401,13 @@ def _proximal_gradient(S, G, lam, opts):
         support = keep
         if steady >= need and not (keep == tried).all():
             tried = keep
-            newton = _support_newton(S, x, Gs, ls, keep, fx, kkt_exit)
+            newton = _support_newton(S, x, Gs, ls, keep, fx)
             if newton is not None:
                 break
             need *= 2
     else:
         if steady >= _NEWTON_STEADY:
-            newton = _support_newton(S, x, Gs, ls, support, fx, kkt_exit)
+            newton = _support_newton(S, x, Gs, ls, support, fx)
     if newton is not None:
         x, fx = newton
         trace.append(fx)
@@ -432,42 +424,32 @@ def _proximal_gradient(S, G, lam, opts):
     return x * scale, report
 
 
-def fit_grouped(S, deltas, lambdas, opts=None):
+def fit_grouped(S, deltas, lambdas):
     """Jointly fit all K-1 directions under row-wise group penalties.
 
     Minimizes sum_k 0.5 b_k' S b_k - delta_k' b_k + sum_j lam_j ||row_j||
-    over the p x (K-1) direction matrix. Accelerated proximal gradient
-    with momentum t_{m+1} = (1 + sqrt(1 + 4 t_m^2)) / 2 and step 1/L, where
-    L is the exact top eigenvalue of S. On an objective increase the
+    over the p x (K-1) direction matrix with _proximal_gradient: momentum
+    t_{m+1} = (1 + sqrt(1 + 4 t_m^2)) / 2, and on an objective increase the
     momentum is reset and one proximal step is taken from the last iterate;
     with the exact L that step does not increase the objective, so the
-    recorded objective trace is monotone. Once the support has held still,
-    Newton's method on the stationarity equations of its rows is tried;
-    its point is returned only if it passes the same KKT exit, with an
-    objective no higher than the last iterate's (see _proximal_gradient).
+    recorded objective trace is monotone.
 
-    Returns (DirectionSet, SolverReport). Neither a run that exhausts
-    max_iter nor one certified unbounded raises: the report's status says
-    which, and an unbounded run returns the finite iterate at which the
-    certificate was found, with the certifying ray on its report. When S
-    is singular the null-space projection of the contrasts is checked
-    before the first iteration; if it certifies, the run returns zeros
-    after 0 iterations. Later certificates come at 25-iteration
-    checkpoints (see _proximal_gradient).
+    Returns (DirectionSet, SolverReport). Neither a run that exhausts the
+    iteration budget nor one certified unbounded raises: the report's
+    status says which.
     """
-    X, report = _proximal_gradient(*_grouped_problem(S, deltas, lambdas), opts or SolverOptions())
+    X, report = _proximal_gradient(*_grouped_problem(S, deltas, lambdas))
     return DirectionSet(X), report
 
 
-def fit_single_lasso(S, delta, lam, opts=None):
+def fit_single_lasso(S, delta, lam):
     """Fit one direction: minimize 0.5 b'Sb - delta'b + lam |b|_1.
 
     This is the grouped problem with a single direction, whose row norms
     are |b_j|. Returns (vector, report); an unbounded report's ray is a
     vector too.
     """
-    problem = _grouped_problem(S, np.reshape(delta, (1, -1)), lam)
-    X, report = _proximal_gradient(*problem, opts or SolverOptions())
+    X, report = _proximal_gradient(*_grouped_problem(S, np.reshape(delta, (1, -1)), lam))
     if report.ray is not None:
         report = replace(report, ray=report.ray[:, 0])
     return X[:, 0], report
@@ -511,7 +493,7 @@ def fit_lpd(S, delta, lam):
     if not active.any():
         return np.zeros(p)
     if S.has_null_space:
-        X, report = _proximal_gradient(S, G, lam, SolverOptions())
+        X, report = _proximal_gradient(S, G, lam)
         if report.status == "unbounded":
             raise LpInfeasibleError("LPD infeasible at this lambda", ray=report.ray[:, 0])
         active |= X[:, 0] != 0
@@ -545,9 +527,8 @@ def fit_directions(estimator, S, deltas, lam):
 
     ``grouped`` is one joint fit; ``single`` and ``lpd`` fit each contrast
     on its own. Returns (DirectionSet, reports) with one SolverReport per
-    proximal-gradient fit and none for ``lpd``. The fits use the default
-    SolverOptions. Raises LpInfeasibleError when an LPD direction is
-    infeasible.
+    proximal-gradient fit and none for ``lpd``. Raises LpInfeasibleError
+    when an LPD direction is infeasible.
     """
     if estimator == "grouped":
         ds, report = fit_grouped(S, deltas, lam)
@@ -584,8 +565,8 @@ def theoretical_lambda(params: TheoreticalLambdaParams) -> float:
 def pi_bar_from_priors(priors) -> float:
     """max over k >= 2 of sqrt((pi_1 + pi_k) / (pi_1 pi_k))."""
     pr = np.asarray(priors, dtype=float)
-    if pr.size < 2 or np.any(pr <= 0):
-        raise ValueError("need at least two positive priors")
+    if pr.size < 2 or not np.all((pr > 0) & np.isfinite(pr)):
+        raise ValueError("need at least two positive finite priors")
     return float(np.sqrt((pr[0] + pr[1:]) / (pr[0] * pr[1:])).max())
 
 

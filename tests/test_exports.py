@@ -19,3 +19,14 @@ def test_every_exported_name_resolves():
             module = importlib.import_module(f"glda.{node.module}")
             for alias in node.names:
                 assert alias.name in module.__all__, f"glda.{node.module}.{alias.name}"
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's Library section documents the fit signatures; its example
+    # must run against the code as it is
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    status, error_rate = capsys.readouterr().out.split()
+    assert status == "optimal"
+    assert 0.0 <= float(error_rate) < 0.5

@@ -122,13 +122,12 @@ def test_event_d_cases():
     assert not event_d_check(3.0 * sigma, sigma)  # off-diagonals exceed 2x
     assert event_d_check(0.5 * sigma, sigma)  # diagonal boundary holds
     # literal zero off-diagonal population: identity scatter passes, any
-    # off-diagonal noise fails unless a tolerance is supplied
+    # off-diagonal noise fails
     eye = np.eye(3)
     noisy = eye.copy()
     noisy[0, 1] = noisy[1, 0] = 1e-14
     assert event_d_check(eye, eye)
     assert not event_d_check(noisy, eye)
-    assert event_d_check(noisy, eye, off_tol=1e-12)
 
 
 def test_event_d_accepts_summary_and_scatter():

@@ -13,9 +13,10 @@ from glda.model import (
     pooled_scatter,
     summarize,
 )
+from glda.select import lambda_max
+from glda.simulate import bayes_error_binary
 from glda.solvers import (
     LpInfeasibleError,
-    SolverOptions,
     SolverReport,
     TheoreticalLambdaParams,
     fit_directions,
@@ -148,7 +149,7 @@ def test_grouped_matches_gridded_oracle():
     S = np.array([[1.0, 0.3], [0.3, 1.0]])
     D = np.array([[1.0, 0.0], [0.0, 1.0]])
     lam = 0.2
-    ds, rep = fit_grouped(S, D, lam, SolverOptions(tol=1e-12))
+    ds, rep = fit_grouped(S, D, lam)
 
     pts = np.linspace(-1.5, 1.5, 13)
     best, best_f = None, np.inf
@@ -219,10 +220,9 @@ def test_grouped_scaling_homogeneity():
     S = np.array([[1.0, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 1.0]])
     D = np.array([[5.0, 1.0, 0.0], [1.0, -5.0, 2.0]])
     lam = 0.5
-    opts = SolverOptions(tol=1e-11)
-    base, _ = fit_grouped(S, D, lam, opts)
+    base, _ = fit_grouped(S, D, lam)
     for c in (2.0**10, 2.0**-7, 3.7, 0.013):
-        scaled, _ = fit_grouped(S, c * D, c * lam, opts)
+        scaled, _ = fit_grouped(S, c * D, c * lam)
         rel = np.abs(scaled.matrix - c * base.matrix).max() / max(
             1e-12, np.abs(c * base.matrix).max()
         )
@@ -245,12 +245,13 @@ def test_grouped_dimension_mismatch():
         fit_grouped(np.eye(3), np.ones((2, 3)), -0.1)
 
 
-def test_grouped_nonconverged_is_returned():
+def test_grouped_nonconverged_is_returned(monkeypatch):
     rng = np.random.default_rng(9)
     A = rng.normal(size=(10, 6))
     S = A.T @ A / 10
     D = rng.normal(size=(2, 6))
-    ds, rep = fit_grouped(S, D, 0.01, SolverOptions(max_iter=3))
+    monkeypatch.setattr(solvers, "_MAX_ITER", 3)
+    ds, rep = fit_grouped(S, D, 0.01)
     assert ds.matrix.shape == (6, 2)
     assert rep.iterations == 3
     assert not rep.converged
@@ -329,14 +330,14 @@ def test_support_newton_gate_on_a_hand_lasso():
     lam = np.ones(2)
     X = np.array([[0.5], [0.1]])
     both = np.array([True, True])
-    Z, f = solvers._support_newton(S, X, G, lam, both, np.inf, 1e-12)
+    Z, f = solvers._support_newton(S, X, G, lam, both, np.inf)
     assert np.allclose(Z[:, 0], [2.0, 1.5], rtol=0, atol=1e-15)
     assert f == pytest.approx(-4.25, abs=1e-15)
     # a point above the last objective, a wrong support, a singular block
-    assert solvers._support_newton(S, X, G, lam, both, f - 1.0, 1e-12) is None
-    assert solvers._support_newton(S, X, G, lam, np.array([True, False]), np.inf, 1e-12) is None
+    assert solvers._support_newton(S, X, G, lam, both, f - 1.0) is None
+    assert solvers._support_newton(S, X, G, lam, np.array([True, False]), np.inf) is None
     flat = as_scatter(np.ones((2, 2)))
-    assert solvers._support_newton(flat, X, G, lam, both, np.inf, 1e-12) is None
+    assert solvers._support_newton(flat, X, G, lam, both, np.inf) is None
 
 
 def test_landed_single_step_is_the_exact_support_solve(monkeypatch):
@@ -422,7 +423,7 @@ def test_newton_solves_no_system_beyond_the_rank_bound(monkeypatch):
         active[: k * S.rank + 1] = True
         X = active[:, None] * np.ones(k)
         penalty = np.full(S.p, 0.5)
-        assert solvers._support_newton(S, X, G, penalty, active, np.inf, 1.0) is None
+        assert solvers._support_newton(S, X, G, penalty, active, np.inf) is None
         assert sizes == [], estimator
         attempts.clear()
         for lam in lambda_grid(lambda_max(cs.deltas), 50, 3.0).values:
@@ -437,12 +438,12 @@ def test_max_iter_run_gets_a_last_newton_attempt(monkeypatch):
     # the last attempt, on the support the run ends with, passes the gate
     S, D, grid = next(_study_problems([0]))
     lam = float(grid[4])
-    opts = SolverOptions(max_iter=10)
-    ds, rep = fit_grouped(S, D, lam, opts)
+    monkeypatch.setattr(solvers, "_MAX_ITER", 10)
+    ds, rep = fit_grouped(S, D, lam)
     assert rep.status == "optimal" and rep.iterations == 10
     assert kkt_residual(S, D, lam, ds) <= 1e-6 * max(np.abs(D).max(), lam)
     monkeypatch.setattr(solvers, "_support_newton", _no_newton)
-    _, plain = fit_grouped(S, D, lam, opts)
+    _, plain = fit_grouped(S, D, lam)
     assert plain.status == "max_iter"
 
 
@@ -459,7 +460,7 @@ def test_hard_bounded_fit_backs_off_its_newton_attempts(monkeypatch):
     _, rep = fit_grouped(S, D, lam)
     assert rep.status in ("optimal", "max_iter")
     assert rep.kkt_residual <= 1.03e-4
-    assert 0 < len(attempts) <= np.log2(SolverOptions().max_iter)
+    assert 0 < len(attempts) <= np.log2(solvers._MAX_ITER)
 
 
 # --- fit_lpd ------------------------------------------------------------
@@ -495,9 +496,9 @@ def test_lpd_infeasible_raises():
 def test_lpd_simplex_backstops_a_max_iter_pre_check(monkeypatch):
     calls = []
 
-    def budget_out(S, G, lam, opts):
-        calls.append(opts)
-        return np.zeros_like(G), SolverReport(opts.max_iter, np.zeros(1), 1.0, "max_iter")
+    def budget_out(S, G, lam):
+        calls.append(G.shape)
+        return np.zeros_like(G), SolverReport(solvers._MAX_ITER, np.zeros(1), 1.0, "max_iter")
 
     monkeypatch.setattr(solvers, "_proximal_gradient", budget_out)
     S = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -507,7 +508,7 @@ def test_lpd_simplex_backstops_a_max_iter_pre_check(monkeypatch):
     ray = info.value.ray
     assert_farkas_ray(as_scatter(S), delta, 0.5, ray)
     assert np.allclose(ray, [np.sqrt(0.5), -np.sqrt(0.5)])
-    assert calls == [SolverOptions()]
+    assert calls == [(2, 1)]
 
 
 def test_lpd_simplex_proof_that_fails_its_check_is_a_numerical_error(monkeypatch):
@@ -521,10 +522,10 @@ def test_lpd_simplex_proof_that_fails_its_check_is_a_numerical_error(monkeypatch
 def test_lpd_max_iter_pre_check_still_reaches_the_optimum_of_a_feasible_box(monkeypatch):
     # the pre-check's support only seeds the activation: a budget-out whose
     # support misses the binding rows still ends at the LP optimum
-    def budget_out(S, G, lam, opts):
+    def budget_out(S, G, lam):
         X = np.zeros_like(G)
         X[2] = 1.0
-        return X, SolverReport(opts.max_iter, np.zeros(1), 1.0, "max_iter")
+        return X, SolverReport(solvers._MAX_ITER, np.zeros(1), 1.0, "max_iter")
 
     monkeypatch.setattr(solvers, "_proximal_gradient", budget_out)
     S = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -580,9 +581,9 @@ def test_lpd_infeasible_exactly_below_the_lp_threshold_on_the_study_grid():
     assert raised > 0 and feasible > 0
 
 
-def _empty_seed(S, G, lam, opts):
+def _empty_seed(S, G, lam):
     # a pre-check that leaves the activation its rows violated at 0 only
-    return np.zeros_like(G), SolverReport(opts.max_iter, np.zeros(1), 1.0, "max_iter")
+    return np.zeros_like(G), SolverReport(solvers._MAX_ITER, np.zeros(1), 1.0, "max_iter")
 
 
 def _lpd_l1_by_highs(S, delta, lam):
@@ -838,6 +839,39 @@ def test_fits_reject_negative_or_non_finite_lambda(fit, lam):
     ],
 )
 def test_non_finite_contrasts_and_scatters_are_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+_PARAMS = dict(sigma_max_plus=1.0, delta_total=1.0, K=3, N=103, pi_bar=2.0, t=1.0)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: lambda_max([[np.nan, 1.0, 0.0]]), "deltas must be finite"),
+        (lambda: lambda_max([[np.inf, 1.0, 0.0]]), "deltas must be finite"),
+        (lambda: TheoreticalLambdaParams(**{**_PARAMS, "pi_bar": np.nan}), "must be finite"),
+        (lambda: TheoreticalLambdaParams(**{**_PARAMS, "t": np.nan}), "must be finite"),
+        (lambda: TheoreticalLambdaParams(**{**_PARAMS, "delta_total": np.inf}), "must be finite"),
+        (lambda: pi_bar_from_priors([np.nan, 0.5]), "positive finite priors"),
+        (lambda: pi_bar_from_priors([0.5, np.inf]), "positive finite priors"),
+        (lambda: bayes_error_binary(np.nan), "finite and nonnegative"),
+        (lambda: bayes_error_binary(np.inf), "finite and nonnegative"),
+    ],
+    ids=[
+        "lambda-max-nan",
+        "lambda-max-inf",
+        "theory-pi-bar-nan",
+        "theory-t-nan",
+        "theory-delta-inf",
+        "priors-nan",
+        "priors-inf",
+        "bayes-nan",
+        "bayes-inf",
+    ],
+)
+def test_non_finite_inputs_to_the_penalty_and_error_helpers_are_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()
 
@@ -1184,11 +1218,12 @@ def test_singular_scatter_with_delta_in_its_range_is_bounded():
         assert rep.status == "optimal", seed
 
 
-def test_full_rank_scatter_is_never_unbounded():
+def test_full_rank_scatter_is_never_unbounded(monkeypatch):
     # a nonsingular S always has a finite minimiser: only the budget can stop it
     rng = np.random.default_rng(9)
     A = rng.normal(size=(10, 6))
-    _, rep = fit_grouped(A.T @ A / 10, rng.normal(size=(2, 6)), 0.0, SolverOptions(max_iter=60))
+    monkeypatch.setattr(solvers, "_MAX_ITER", 60)
+    _, rep = fit_grouped(A.T @ A / 10, rng.normal(size=(2, 6)), 0.0)
     assert rep.status in ("optimal", "max_iter")
 
 
@@ -1212,13 +1247,6 @@ def test_report_status_and_ray_invariants():
         SolverReport(1, np.zeros(2), 0.0, "optimal", ray)
     with pytest.raises(ValueError, match="ray"):
         SolverReport(1, np.zeros(2), 0.0, "unbounded")
-
-
-def test_options_validation():
-    with pytest.raises(ValueError):
-        SolverOptions(max_iter=0)
-    with pytest.raises(ValueError):
-        SolverOptions(tol=0.0)
 
 
 def test_concurrent_fits_match_sequential():
