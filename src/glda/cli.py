@@ -232,6 +232,8 @@ def _read_truth(path):
         raise io.FormatError(f"{path}: missing {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise io.FormatError(f"{path}: {exc}") from None
+    if not np.all(np.isfinite(B_true.matrix)):
+        raise io.FormatError(f"{path}: true directions must be finite")
     if not isinstance(support, list) or not all(type(j) is int and 1 <= j <= B_true.p for j in support):
         raise io.FormatError(f"{path}: support entries must be integers in 1..{B_true.p}")
     return B_true, [j - 1 for j in support], sig

@@ -164,15 +164,15 @@ def _parse_model(lines):
     kind, K, p, estimator = head[1], int(head[3]), int(head[5]), head[7]
     if K < 1 or p < 1:
         raise ValueError("malformed model header")
-    pos = 2
+    pos, last = 2, None
 
     def section(tag, n):
-        nonlocal pos
+        nonlocal pos, last
         if pos >= len(lines) or lines[pos] != tag:
             raise ValueError(f"expected section '{tag}'")
         if pos + 1 + n > len(lines):
             raise ValueError("truncated file")
-        pos += 1 + n
+        pos, last = pos + 1 + n, tag
         return np.loadtxt(lines[pos - n:pos], comments=None, ndmin=2)
 
     priors = section("priors", 1)[0]
@@ -184,6 +184,8 @@ def _parse_model(lines):
         model = ClassifierModel(directions=directions, means=means, priors=priors)
     else:
         raise ValueError(f"unknown model kind '{kind}'")
+    if pos < len(lines):
+        raise ValueError(f"unexpected line after section '{last}'")
     if model.p != p:
         raise ValueError("wrong mean dimension")
     return model, estimator

@@ -114,12 +114,11 @@ class PooledScatter:
     """Pooled within-class covariance S = F'F, kept as its factor F.
 
     ``pooled_scatter`` makes F the N x p class-centred data over
-    sqrt(N - K), so S has rank at most N - K; ``dof`` is N - K. The p x p
-    matrix is formed only where it is read.
+    sqrt(N - K), so S has rank at most N - K. The p x p matrix is formed
+    only where it is read.
     """
 
     factor: np.ndarray
-    dof: int
 
     def __post_init__(self):
         F = _frozen(self.factor)
@@ -128,8 +127,6 @@ class PooledScatter:
         if not np.all(np.isfinite(F)):
             raise ValueError("scatter factor must be finite")
         object.__setattr__(self, "factor", F)
-        if self.dof < 1:
-            raise ValueError("insufficient degrees of freedom")
 
     @property
     def p(self):
@@ -161,7 +158,7 @@ class PooledScatter:
     def rank(self):
         """Numerical rank of S: its eigenvalues above the numerical-zero cut.
 
-        At most ``dof`` for a ``pooled_scatter``.
+        At most N - K for a ``pooled_scatter``.
         """
         return int(np.count_nonzero(self._gram_eigh[2]))
 
@@ -251,14 +248,13 @@ def pooled_scatter(d: Dataset, cs: ClassSummaries) -> PooledScatter:
     if N <= K:
         raise ValueError("insufficient degrees of freedom")
     F = (d.features - cs.means[d.labels - 1]) / np.sqrt(N - K)
-    return PooledScatter(factor=F, dof=N - K)
+    return PooledScatter(factor=F)
 
 
 def as_scatter(S) -> PooledScatter:
     """A PooledScatter as it is, or a square PSD array factored once with eigh.
 
-    A square array must be finite and is symmetrised first; its dof is
-    unknown and set to 1.
+    A square array must be finite and is symmetrised first.
     Eigenvalues within NULL_CUT of the largest around zero are set to zero,
     so the factor's null space is the scatter's; a more negative one is
     rejected.
@@ -274,7 +270,7 @@ def as_scatter(S) -> PooledScatter:
     if w[0] < -NULL_CUT * w[-1]:
         raise ValueError("scatter must be positive semidefinite")
     w = np.where(w > NULL_CUT * w[-1], w, 0.0)
-    return PooledScatter(factor=(V * np.sqrt(w)).T, dof=1)
+    return PooledScatter(factor=(V * np.sqrt(w)).T)
 
 
 def group_norms(ds: DirectionSet) -> np.ndarray:

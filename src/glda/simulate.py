@@ -92,6 +92,8 @@ class CovarianceSummary:
     minus_max: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.plus_min, self.plus_max, self.minus_max)):
+            raise ValueError("covariance summary must be finite")
         if self.plus_min > self.plus_max or self.minus_max < 0:
             raise ValueError("inconsistent covariance summary")
 

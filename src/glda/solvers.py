@@ -153,8 +153,7 @@ def group_prox(x, lam):
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    thr = np.array([lam], dtype=float)
-    rows, _, _ = _prox_rows(np.asarray(x, dtype=float)[None, :], thr, thr * _SNAP)
+    rows, _, _ = _prox_rows(np.asarray(x, dtype=float)[None, :], float(lam))
     return rows[0]
 
 
@@ -173,7 +172,7 @@ def _grouped_objective(S, X, G, lam, FX=None, norms=None):
         FX = S.factor @ X
     if norms is None:
         norms = _row_norms(X)
-    return 0.5 * float(np.vdot(FX, FX)) - float(np.vdot(G, X)) + float(lam @ norms)
+    return 0.5 * float(np.vdot(FX, FX)) - float(np.vdot(G, X)) + lam * float(norms.sum())
 
 
 def _grouped_kkt(S, X, G, lam, FX=None):
@@ -185,23 +184,23 @@ def _grouped_kkt(S, X, G, lam, FX=None):
     return float(np.where(active, nrm, np.maximum(nrm - lam, 0.0)).max(initial=0.0))
 
 
-def _prox_rows(Z, thr, cut):
+def _prox_rows(Z, thr):
     # group soft-threshold of each row at thr; rows with norm at most
-    # cut = thr * _SNAP are zeroed (callers compute cut once per threshold).
-    # Returns the rows, the mask of those kept (the support) and the rows'
-    # norms: a kept row's norm shrinks by thr, the others are zero.
+    # thr * _SNAP are zeroed. Returns the rows, the mask of those kept (the
+    # support) and the rows' norms: a kept row's norm shrinks by thr, the
+    # others are zero.
     nrm = _row_norms(Z)
-    keep = nrm > cut
+    keep = nrm > thr * _SNAP
     shrunk = (nrm - thr) * keep
     fac = np.divide(shrunk, nrm, out=np.zeros(nrm.shape), where=keep)
     return Z * fac[:, None], keep, shrunk
 
 
-def _grouped_problem(S, deltas, lambdas, positive=False):
-    """Validated (PooledScatter, p x K' contrast matrix, per-feature penalties).
+def _grouped_problem(S, deltas, lam, positive=False):
+    """Validated (PooledScatter, p x K' contrast matrix, penalty level).
 
     Every fit checks its (S, deltas, lambda) here. Contrasts must be finite,
-    and penalties finite and nonnegative, or strictly positive when
+    and lambda one number, finite and nonnegative, or strictly positive when
     ``positive`` is set.
     """
     S = as_scatter(S)
@@ -214,19 +213,21 @@ def _grouped_problem(S, deltas, lambdas, positive=False):
     if not np.all(np.isfinite(D)):
         raise ValueError("deltas must be finite")
     G = np.ascontiguousarray(D.T)  # p x K'
-    lam = np.broadcast_to(np.asarray(lambdas, dtype=float), (p,)).astype(float)
-    if not np.all(np.isfinite(lam)):
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim > 0:
+        raise ValueError("lambda must be a single number")
+    if not np.isfinite(lam):
         raise ValueError("lambdas must be finite")
-    if np.any(lam <= 0 if positive else lam < 0):
+    if lam < 0 or (positive and lam == 0):
         raise ValueError("lambdas must be positive" if positive else "lambdas must be nonnegative")
-    return S, G, lam
+    return S, G, float(lam)
 
 
 def _recession_ray(S, G, lam, *candidates):
     """A unit-norm d with S d = 0 and positive gain, or None.
 
     Each p x K' candidate is projected onto the null space of S. Along s d
-    the objective changes by -s (<G, d> - sum_j lam_j ||d_j||), so a gain
+    the objective changes by -s (<G, d> - lam sum_j ||d_j||), so a gain
     above _RAY_GAIN ||G|| proves it unbounded below. A projection is kept
     only if d'Sd is at most NULL_CUT times the top eigenvalue: a candidate
     with no null-space component projects to rounding noise, which is not.
@@ -241,7 +242,7 @@ def _recession_ray(S, G, lam, *candidates):
         if n == 0.0 or np.sum(FP[:, cols] ** 2) > NULL_CUT * S.top_eigenvalue * n * n:
             continue
         d = P[:, cols] / n
-        if float(np.sum(G * d)) - float(lam @ _row_norms(d)) > floor:
+        if float(np.sum(G * d)) - lam * float(_row_norms(d).sum()) > floor:
             return d
     return None
 
@@ -250,13 +251,13 @@ def _support_newton(S, X, G, lam, active, fx):
     """Newton's method on the stationarity equations of the rows ``active``.
 
     On the active rows A the penalty is smooth, and stationarity reads
-    S_AA X_A - G_A + diag(lam_A) U_A = 0 with U_A the unit row directions.
-    Its Hessian is H = S_AA (x) I + blockdiag(lam_j / ||x_j|| (I - u_j u_j')),
-    and since (I - u_j u_j') x_j = 0, H vec(X_A) = vec(S_AA X_A): the Newton
-    step from X lands on the solution Z_A of H vec(Z_A) = vec(G_A -
-    diag(lam_A) U_A). With one direction u_j = sign(b_j), so the block term
-    is exactly zero and one step is the exact lasso solve S_AA b = delta_A -
-    lam_A sign(b_A). With more, steps repeat from Z while each at least
+    S_AA X_A - G_A + lam U_A = 0 with U_A the unit row directions. Its
+    Hessian is H = S_AA (x) I + blockdiag(lam / ||x_j|| (I - u_j u_j')), and
+    since (I - u_j u_j') x_j = 0, H vec(X_A) = vec(S_AA X_A): the Newton
+    step from X lands on the solution Z_A of H vec(Z_A) = vec(G_A - lam U_A).
+    With one direction u_j = sign(b_j), so the block term is exactly zero
+    and one step is the exact lasso solve S_AA b = delta_A - lam
+    sign(b_A). With more, steps repeat from Z while each at least
     halves the KKT residual of the one before, which quadratic convergence
     on the right support does and a wrong support does not. H has rank at
     most K' rank(S) + |A| (K' - 1), so it is singular when |A| > K' rank(S),
@@ -284,12 +285,12 @@ def _support_newton(S, X, G, lam, active, fx):
                 return None
             U = ZA / nrm[:, None]
             H = SxI.copy()
-            H[rows, :, rows, :] += (lam[idx] / nrm)[:, None, None] * (
+            H[rows, :, rows, :] += (lam / nrm)[:, None, None] * (
                 eye - U[:, :, None] * U[:, None, :]
             )
             try:
                 ZA = np.linalg.solve(
-                    H.reshape(a * k, a * k), (G[idx] - lam[idx, None] * U).reshape(-1)
+                    H.reshape(a * k, a * k), (G[idx] - lam * U).reshape(-1)
                 ).reshape(a, k)
             except np.linalg.LinAlgError:
                 return None
@@ -323,7 +324,7 @@ def _proximal_gradient(S, G, lam):
     and F' F y for the gradient, with F y = F x_{m+1} + beta (F x_{m+1} -
     F x_m) from the products already made. A restart's step from x reuses
     F x_m, and the KKT checks reuse the iterate's product. The penalty
-    term takes the row norms the proximal step leaves (||z_j|| - thr_j on
+    term takes the row norms the proximal step leaves (||z_j|| - thr on
     a kept row) instead of measuring them again.
 
     Once the support (the rows the proximal step keeps) has held still for
@@ -339,7 +340,7 @@ def _proximal_gradient(S, G, lam):
     the Newton point, so a run on which no attempt lands is the plain
     accelerated run. Returns the p x K' solution and its SolverReport.
     """
-    scale = max(float(np.abs(G).max(initial=0.0)), float(lam.max(initial=0.0)))
+    scale = max(float(np.abs(G).max(initial=0.0)), lam)
     if scale == 0.0:
         return np.zeros_like(G), SolverReport(0, np.zeros(1), 0.0, "optimal")
     Gs = G / scale
@@ -356,7 +357,6 @@ def _proximal_gradient(S, G, lam):
     F = S.factor
     L = max(S.top_eigenvalue, np.finfo(float).eps)
     thr = ls / L
-    cut = thr * _SNAP
     x_check = y = x
     Fx = Fy = F @ x
     t = 1.0
@@ -369,13 +369,13 @@ def _proximal_gradient(S, G, lam):
     steady, need, newton = 0, _NEWTON_STEADY, None
     for m in range(1, _MAX_ITER + 1):
         iterations = m
-        xn, keep, nrm = _prox_rows(y - (F.T @ Fy - Gs) / L, thr, cut)
+        xn, keep, nrm = _prox_rows(y - (F.T @ Fy - Gs) / L, thr)
         Fxn = F @ xn
         fn = _grouped_objective(S, xn, Gs, ls, Fxn, nrm)
         if fn > fx:
             # restart: a proximal step from x with the exact L cannot increase f
             t = 1.0
-            xn, keep, nrm = _prox_rows(x - (F.T @ Fx - Gs) / L, thr, cut)
+            xn, keep, nrm = _prox_rows(x - (F.T @ Fx - Gs) / L, thr)
             Fxn = F @ xn
             fn = _grouped_objective(S, xn, Gs, ls, Fxn, nrm)
         tn = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
@@ -424,10 +424,10 @@ def _proximal_gradient(S, G, lam):
     return x * scale, report
 
 
-def fit_grouped(S, deltas, lambdas):
-    """Jointly fit all K-1 directions under row-wise group penalties.
+def fit_grouped(S, deltas, lam):
+    """Jointly fit all K-1 directions under a row-wise group penalty.
 
-    Minimizes sum_k 0.5 b_k' S b_k - delta_k' b_k + sum_j lam_j ||row_j||
+    Minimizes sum_k 0.5 b_k' S b_k - delta_k' b_k + lam sum_j ||row_j||
     over the p x (K-1) direction matrix with _proximal_gradient: momentum
     t_{m+1} = (1 + sqrt(1 + 4 t_m^2)) / 2, and on an objective increase the
     momentum is reset and one proximal step is taken from the last iterate;
@@ -438,7 +438,7 @@ def fit_grouped(S, deltas, lambdas):
     iteration budget nor one certified unbounded raises: the report's
     status says which.
     """
-    X, report = _proximal_gradient(*_grouped_problem(S, deltas, lambdas))
+    X, report = _proximal_gradient(*_grouped_problem(S, deltas, lam))
     return DirectionSet(X), report
 
 
@@ -493,10 +493,10 @@ def fit_lpd(S, delta, lam):
     if not active.any():
         return np.zeros(p)
     if S.has_null_space:
-        X, report = _proximal_gradient(S, G, lam)
+        seed, report = fit_single_lasso(S, d, lam)
         if report.status == "unbounded":
-            raise LpInfeasibleError("LPD infeasible at this lambda", ray=report.ray[:, 0])
-        active |= X[:, 0] != 0
+            raise LpInfeasibleError("LPD infeasible at this lambda", ray=report.ray)
+        active |= seed != 0
     lp = InequalityLP(np.ones(2 * p))
     feature, sign = np.zeros(0, dtype=int), np.zeros(0)
     new = active
@@ -504,7 +504,7 @@ def fit_lpd(S, delta, lam):
         idx = np.flatnonzero(new)
         rows = F[:, idx].T @ F
         A = np.vstack([np.hstack([rows, -rows]), np.hstack([-rows, rows])])
-        b = np.concatenate([lam[idx] + d[idx], lam[idx] - d[idx]])
+        b = np.concatenate([lam + d[idx], lam - d[idx]])
         feature = np.concatenate([feature, idx, idx])
         sign = np.concatenate([sign, np.ones(idx.size), -np.ones(idx.size)])
         try:
@@ -570,13 +570,13 @@ def pi_bar_from_priors(priors) -> float:
     return float(np.sqrt((pr[0] + pr[1:]) / (pr[0] * pr[1:])).max())
 
 
-def kkt_residual(S, deltas, lambdas, ds: DirectionSet) -> float:
+def kkt_residual(S, deltas, lam, ds: DirectionSet) -> float:
     """Largest violation of the group-penalty stationarity conditions.
 
-    For zero rows: (||row_j of (S Phi - D)|| - lam_j)_+ ; for active rows
+    For zero rows: (||row_j of (S Phi - D)|| - lam)_+ ; for active rows
     the norm of the full stationarity expression.
     """
-    S, G, lam = _grouped_problem(S, deltas, lambdas)
+    S, G, lam = _grouped_problem(S, deltas, lam)
     if ds.matrix.shape != G.shape:
         raise ValueError("direction set shape does not match deltas")
     return _grouped_kkt(S, ds.matrix, G, lam)

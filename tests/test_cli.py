@@ -524,8 +524,16 @@ def test_diagnose_missing_truth_exit2(tmp_path):
         (lambda t: [t], "not a truth file"),
         (lambda t: {**t, "support_joint": [999]}, "support entries must be integers in 1..200"),
         (lambda t: {**t, "support_joint": [0]}, "support entries must be integers in 1..200"),
+        (
+            lambda t: {**t, "true_directions": [[np.nan, 0.0]] + t["true_directions"][1:]},
+            "true directions must be finite",
+        ),
+        (
+            lambda t: {**t, "sigma_summary": {**t["sigma_summary"], "plus_min": np.nan}},
+            "covariance summary must be finite",
+        ),
     ],
-    ids=["empty-object", "list", "support-above-p", "support-zero"],
+    ids=["empty-object", "list", "support-above-p", "support-zero", "nan-direction", "nan-sigma"],
 )
 def test_diagnose_malformed_truth_exit2(tmp_path, capsys, edit, reason):
     data, truth = tmp_path / "sim.csv", tmp_path / "truth.json"

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -30,3 +31,16 @@ def test_readme_library_example_runs(capsys):
     status, error_rate = capsys.readouterr().out.split()
     assert status == "optimal"
     assert 0.0 <= float(error_rate) < 0.5
+
+
+def test_output_digest_runs_and_repeats():
+    # tools/output_digest.py compares two checkouts, so it must run against
+    # the code as it is and give the same hashes on a second run
+    spec = importlib.util.spec_from_file_location(
+        "output_digest", Path(__file__).parents[1] / "tools" / "output_digest.py"
+    )
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    assert len(digest.fit_digests(seeds=(0,))) == 7
+    # the temporary directory differs between runs and must be masked
+    assert digest.cli_digest(seeds=(7,)) == digest.cli_digest(seeds=(7,))

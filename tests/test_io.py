@@ -165,6 +165,11 @@ def test_model_file_rejects_garbage(tmp_path):
         path.write_text("\n".join(lines))
         with pytest.raises(io.FormatError, match=re.escape(f"{path}: {reason}")):
             io.read_model_file(path)
+    for model, section, row in ((lda, "directions", "1"), (nb, "variances", "1 1 1")):
+        io.write_model_file(path, model, "grouped")
+        path.write_text(path.read_text() + row + "\n")  # one row more than the header's p or K
+        with pytest.raises(io.FormatError, match=re.escape(f"{path}: unexpected line after section '{section}'")):
+            io.read_model_file(path)
     for bad_head in ("kind lda K 0 p 3 estimator grouped", "kind lda K 2 p 0 estimator grouped"):
         io.write_model_file(path, lda, "grouped")
         lines = path.read_text().split("\n")

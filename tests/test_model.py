@@ -59,7 +59,6 @@ def test_dataset_rejects_non_finite_features(bad):
 def test_pooled_scatter_hand_case():
     d = two_class_1d()
     S = pooled_scatter(d, summarize(d))
-    assert S.dof == 2
     assert S.matrix[0, 0] == pytest.approx(2.0)
 
 
@@ -81,7 +80,6 @@ def test_pooled_scatter_duplication_rescales_by_dof():
     n, k = 12, 3
     expect = S.matrix * (2 * (n - k)) / (2 * n - k)
     assert np.allclose(S2.matrix, expect, atol=1e-12)
-    assert S2.dof == 2 * n - k
 
 
 def test_pooled_scatter_needs_dof():
@@ -120,7 +118,7 @@ def test_pooled_scatter_invariant_under_class_relabeling():
 @pytest.mark.parametrize("n, p", [(6, 10), (10, 6)])
 def test_top_eigenvalue_is_exact_for_either_factor_shape(n, p):
     F = np.random.default_rng(n).normal(size=(n, p))
-    S = PooledScatter(factor=F, dof=1)
+    S = PooledScatter(factor=F)
     assert S.top_eigenvalue == pytest.approx(np.linalg.eigvalsh(S.matrix)[-1], rel=1e-12)
 
 
@@ -135,10 +133,10 @@ def test_top_eigenvalue_on_sim1_seed3():
 def test_null_projection_annihilates_the_factor_and_is_idempotent(shape):
     rng = np.random.default_rng(1)
     if shape == "n<p":
-        S, nullity = PooledScatter(factor=rng.normal(size=(6, 10)), dof=1), 4
+        S, nullity = PooledScatter(factor=rng.normal(size=(6, 10))), 4
     elif shape == "n>p":
         F = rng.normal(size=(10, 4)) @ rng.normal(size=(4, 6))
-        S, nullity = PooledScatter(factor=F, dof=1), 2
+        S, nullity = PooledScatter(factor=F), 2
     else:
         A = rng.normal(size=(3, 7))
         S, nullity = as_scatter(A.T @ A), 4
@@ -153,7 +151,7 @@ def test_null_projection_annihilates_the_factor_and_is_idempotent(shape):
 
 
 def test_full_rank_scatter_has_no_null_space():
-    S = PooledScatter(factor=np.random.default_rng(5).normal(size=(10, 6)), dof=1)
+    S = PooledScatter(factor=np.random.default_rng(5).normal(size=(10, 6)))
     assert not S.has_null_space
     assert np.all(S.null_project(np.ones((6, 2))) == 0.0)
 

@@ -51,12 +51,7 @@ def numeric_prox_oracle(x, lam):
 
 
 def grouped_objective(S, D, lam, M):
-    lam = np.broadcast_to(np.asarray(lam, float), (M.shape[0],))
-    return (
-        0.5 * np.sum(M * (S @ M))
-        - np.sum(D.T * M)
-        + np.sum(lam * np.linalg.norm(M, axis=1))
-    )
+    return 0.5 * np.sum(M * (S @ M)) - np.sum(D.T * M) + lam * np.sum(np.linalg.norm(M, axis=1))
 
 
 # --- group_prox ---------------------------------------------------------
@@ -191,7 +186,7 @@ def test_grouped_beats_random_points():
     A = rng.normal(size=(30, p))
     S = A.T @ A / 30 + 0.1 * np.eye(p)
     D = rng.normal(size=(kp, p))
-    lam = rng.uniform(0.05, 0.5, size=p)
+    lam = rng.uniform(0.05, 0.5)
     ds, _ = fit_grouped(S, D, lam)
     f_hat = grouped_objective(S, D, lam, ds.matrix)
     assert f_hat <= grouped_objective(S, D, lam, np.zeros((p, kp))) + 1e-10
@@ -259,7 +254,7 @@ def test_grouped_nonconverged_is_returned(monkeypatch):
 
 
 def test_accepts_pooled_scatter_type():
-    S = PooledScatter(factor=np.eye(2), dof=5)
+    S = PooledScatter(factor=np.eye(2))
     ds, _ = fit_grouped(S, np.array([[1.0, 0.0]]), 0.0)
     assert np.allclose(ds.matrix[:, 0], [1.0, 0.0], atol=1e-8)
 
@@ -327,7 +322,7 @@ def test_support_newton_gate_on_a_hand_lasso():
     # its minimiser at (2, 1.5)
     S = as_scatter(np.diag([1.0, 2.0]))
     G = np.array([[3.0], [4.0]])
-    lam = np.ones(2)
+    lam = 1.0
     X = np.array([[0.5], [0.1]])
     both = np.array([True, True])
     Z, f = solvers._support_newton(S, X, G, lam, both, np.inf)
@@ -401,7 +396,7 @@ def test_newton_finish_keeps_the_statuses_and_supports_of_plain_fista(monkeypatc
 
 def test_newton_solves_no_system_beyond_the_rank_bound(monkeypatch):
     # with |A| > K' rank(S) the Hessian is singular and no solve is tried;
-    # on the default path of design 1 no solve exceeds K'^2 dof either
+    # on the default path of design 1 no solve exceeds K'^2 rank(S) either
     from glda.select import lambda_grid, lambda_max
     from glda.simulate import sample, sim1_spec
 
@@ -422,14 +417,13 @@ def test_newton_solves_no_system_beyond_the_rank_bound(monkeypatch):
         active = np.zeros(S.p, dtype=bool)
         active[: k * S.rank + 1] = True
         X = active[:, None] * np.ones(k)
-        penalty = np.full(S.p, 0.5)
-        assert solvers._support_newton(S, X, G, penalty, active, np.inf) is None
+        assert solvers._support_newton(S, X, G, 0.5, active, np.inf) is None
         assert sizes == [], estimator
         attempts.clear()
         for lam in lambda_grid(lambda_max(cs.deltas), 50, 3.0).values:
             fit_directions(estimator, S, cs.deltas, float(lam))
         assert all(kp == k for _, kp, _ in attempts)
-        assert len(sizes) > 0 and max(sizes) <= k * k * S.dof, estimator
+        assert len(sizes) > 0 and max(sizes) <= k * k * S.rank, estimator
         sizes.clear()
 
 
@@ -808,6 +802,26 @@ def test_fits_reject_negative_or_non_finite_lambda(fit, lam):
         fit(np.eye(2), np.array([1.0, 1.0]), lam)
 
 
+@pytest.mark.parametrize("lam", [np.full(2, 0.5), [0.5]], ids=["per-feature", "one-entry"])
+@pytest.mark.parametrize(
+    "fit",
+    [
+        fit_grouped,
+        fit_single_lasso,
+        fit_lpd,
+        lambda S, D, lam: fit_directions("grouped", S, D, lam),
+        lambda S, D, lam: fit_directions("single", S, D, lam),
+        lambda S, D, lam: fit_directions("lpd", S, D, lam),
+        lambda S, D, lam: kkt_residual(S, D, lam, DirectionSet(np.zeros((2, 1)))),
+    ],
+    ids=["grouped", "single", "lpd", "directions-grouped", "directions-single", "directions-lpd", "kkt"],
+)
+def test_fits_take_one_lambda(fit, lam):
+    # the penalty is one level for every feature; a vector is refused, even of one entry
+    with pytest.raises(ValueError, match="lambda must be a single number"):
+        fit(np.eye(2), np.array([1.0, 1.0]), lam)
+
+
 @pytest.mark.parametrize(
     "call, match",
     [
@@ -820,7 +834,7 @@ def test_fits_reject_negative_or_non_finite_lambda(fit, lam):
             lambda: kkt_residual(np.eye(3), [[np.nan, 1.0, 0.0]], 0.1, DirectionSet(np.zeros((3, 1)))),
             "deltas must be finite",
         ),
-        (lambda: PooledScatter(factor=[[1.0, np.inf], [0.0, 1.0]], dof=1), "scatter factor must be finite"),
+        (lambda: PooledScatter(factor=[[1.0, np.inf], [0.0, 1.0]]), "scatter factor must be finite"),
         (lambda: as_scatter([[np.nan, 0.0], [0.0, 1.0]]), "scatter must be finite"),
         (lambda: as_scatter([[np.inf, 0.0], [0.0, 1.0]]), "scatter must be finite"),
         (lambda: fit_grouped([[1.0, 0.0], [0.0, np.nan]], [[1.0, 1.0]], 0.1), "scatter must be finite"),
@@ -997,7 +1011,7 @@ def test_pi_bar():
 def test_kkt_zero_solution_with_large_lambda():
     S = np.eye(3)
     D = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, -0.5]])
-    lam = np.linalg.norm(D, axis=0) + 0.1
+    lam = np.linalg.norm(D, axis=0).max() + 0.1
     ds = DirectionSet(np.zeros((3, 2)))
     assert kkt_residual(S, D, lam, ds) == 0.0
 
@@ -1102,7 +1116,7 @@ def singular_problem(request):
         d = sample(sim1_spec(int(request.param[-1])))
     cs = summarize(d)
     S = pooled_scatter(d, cs)
-    assert S.p > S.dof
+    assert S.p > S.rank
     return S, cs.deltas, np.array([_lp_threshold(S, dk) for dk in cs.deltas])
 
 
@@ -1181,7 +1195,7 @@ def test_unbounded_past_the_projection_of_g_is_found_at_a_checkpoint():
     S, D = _tiny_singular_problem()
     lam = 0.8
     G = D.T
-    assert solvers._recession_ray(S, G, np.full(S.p, lam), G) is None
+    assert solvers._recession_ray(S, G, lam, G) is None
     ds, rep = fit_grouped(S, D, lam)
     assert rep.status == "unbounded"
     assert rep.iterations > 0 and rep.iterations % 25 == 0
@@ -1212,7 +1226,7 @@ def test_singular_scatter_with_delta_in_its_range_is_bounded():
     # projections are rounding noise and must not pass for a ray
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        S = PooledScatter(factor=rng.normal(size=(5, 20)), dof=1)
+        S = PooledScatter(factor=rng.normal(size=(5, 20)))
         D = S.dot(rng.normal(size=(20, 2))).T
         _, rep = fit_grouped(S, D, 0.0)
         assert rep.status == "optimal", seed

@@ -1,0 +1,125 @@
+"""One SHA-256 per family of glda outputs, for comparing two checkouts.
+
+Run from a checkout's root:
+
+    PYTHONPATH=src python tools/output_digest.py
+
+and diff what two checkouts print. The families are:
+
+* ``grouped.{directions,reports,traces}`` - ``fit_grouped`` over the
+  criterion-5 study grid (``lambda_grid(2.5, 14, 0.8)``) on design 1 at
+  seeds 0-19 and 58-63;
+* ``single.{directions,reports,traces}`` - ``fit_single_lasso`` on each
+  contrast over the same problems;
+* ``lpd`` - ``fit_lpd`` on each contrast over the same problems: the
+  solution, or the ray of an ``LpInfeasibleError``, or the message of an
+  ``LpNumericalError``;
+* ``cli`` - in-process ``glda`` runs at design-1 seeds 7 and 41:
+  ``simulate``, ``cv``, and ``path`` and ``fit`` with each estimator,
+  ``fit`` at lambda 0.5, 1.3 and the one ``cv`` chose. It covers every exit code,
+  stdout and stderr (the temporary directory masked) and every written
+  file.
+
+Numbers are hashed as their float64 bytes, so any change in the last bit
+shows. Reports hash the iteration count, KKT residual, status and ray;
+traces hash the objective trace on its own, since it is the one output
+whose rounding follows the order of the objective's sums.
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from glda import cli, model, select, simulate, solvers
+
+FIT_SEEDS = (*range(20), *range(58, 64))
+STUDY_GRID = (2.5, 14, 0.8)
+CLI_SEEDS = (7, 41)
+
+
+def _float_bytes(a):
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+def _report_bytes(rep):
+    ray = b"" if rep.ray is None else _float_bytes(rep.ray)
+    return f"{rep.iterations} {rep.kkt_residual.hex()} {rep.status}|".encode() + ray
+
+
+def fit_digests(seeds=FIT_SEEDS):
+    """Hashes of the grouped, single and LPD fits over the study grid at ``seeds``."""
+    names = [f"{e}.{part}" for e in ("grouped", "single") for part in ("directions", "reports", "traces")]
+    h = {name: hashlib.sha256() for name in (*names, "lpd")}
+
+    def add(estimator, beta, rep):
+        h[f"{estimator}.directions"].update(_float_bytes(beta))
+        h[f"{estimator}.reports"].update(_report_bytes(rep))
+        h[f"{estimator}.traces"].update(_float_bytes(rep.objective_trace) + b"|")
+
+    grid = select.lambda_grid(*STUDY_GRID).values
+    for seed in seeds:
+        d = simulate.sample(simulate.sim1_spec(seed))
+        cs = model.summarize(d)
+        S = model.pooled_scatter(d, cs)
+        for lam in grid:
+            lam = float(lam)
+            ds, rep = solvers.fit_grouped(S, cs.deltas, lam)
+            add("grouped", ds.matrix, rep)
+            for delta in cs.deltas:
+                add("single", *solvers.fit_single_lasso(S, delta, lam))
+                try:
+                    out = b"solution|" + _float_bytes(solvers.fit_lpd(S, delta, lam))
+                except solvers.LpInfeasibleError as exc:
+                    out = b"infeasible|" + _float_bytes(exc.ray)
+                except solvers.LpNumericalError as exc:
+                    out = f"numerical {exc}".encode()
+                h["lpd"].update(out + b"|")
+    return {name: h[name].hexdigest() for name in h}
+
+
+def _run(h, tmp, argv):
+    # hashes the command, its exit code and both streams; returns stdout
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    text = f"{' '.join(argv)}\n{code}\n{out.getvalue()}\n{err.getvalue()}\n"
+    h.update(text.replace(str(tmp), "<tmp>").encode())
+    return out.getvalue()
+
+
+def cli_digest(seeds=CLI_SEEDS):
+    """Hash of the exit codes, output streams and written files of the CLI runs at ``seeds``."""
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        for seed in seeds:
+            data = str(tmp / f"sim{seed}.csv")
+            _run(h, tmp, ["simulate", "sim1", "--seed", str(seed), "--out", data,
+                          "--truth-out", str(tmp / f"truth{seed}.json")])
+            out = _run(h, tmp, ["cv", data, "--out", str(tmp / f"cv{seed}.csv")])
+            lambdas = ["0.5", "1.3", *out.split()[1:2]]  # stdout opens "chosen_lambda <value>"
+            for est in ("grouped", "single", "lpd"):
+                _run(h, tmp, ["path", data, "--estimator", est, "--out", str(tmp / f"path{seed}-{est}.csv")])
+                for lam in lambdas:
+                    _run(h, tmp, ["fit", data, "--estimator", est, "--lambda", lam,
+                                  "--out", str(tmp / f"fit{seed}-{est}-{lam}.txt")])
+        for path in sorted(tmp.iterdir()):
+            h.update(path.name.encode() + b"\n" + path.read_bytes())
+    return h.hexdigest()
+
+
+def main():
+    digests = fit_digests()
+    digests["cli"] = cli_digest()
+    for name, value in digests.items():
+        print(f"{name:<18} {value}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
