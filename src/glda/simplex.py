@@ -1,14 +1,14 @@
 """Dense dual simplex for the small linear programs used by the solvers.
 
-``InequalityLP(c)`` minimises c'x subject to Ax <= b, x >= 0 for a finite,
-nonnegative c and rows that arrive in batches. It keeps the full tableau
+``InequalityLP(n)`` minimises the sum of x over n variables subject to
+Ax <= b, x >= 0, for rows that arrive in batches. It keeps the full tableau
 [A | I | b] between batches. ``append(A, b)`` scales each new row to unit
 max-norm, eliminates it against the current basis with its own slack basic,
 and resumes pivoting from the last basis.
 
-The empty tableau is priced at c. With c >= 0 the all-slack basis is dual
-feasible there, and appended rows with basic slacks leave the cost row as
-it is, so every batch starts dual feasible: dual pivots run until the
+The empty tableau is priced at unit costs, so the all-slack basis is dual
+feasible there. Appended rows with basic slacks leave the cost row as it
+is, so every batch starts dual feasible: dual pivots run until the
 right-hand side is nonnegative, and the basis is then optimal. The
 objective is bounded below by 0, so no batch is unbounded.
 The dual pass chooses its leaving row by dual steepest edge (Forrest &
@@ -21,7 +21,7 @@ exceeds ten times the row count, which rules out cycling.
 Every cut is relative to the tableau: an entry to the largest entry of its
 row, a right-hand side to the largest right-hand side, and a reduced cost
 or dual ratio to the largest reduced cost. With the rows at unit max-norm,
-scaling any row of [A | b] by a positive factor, or all of b or c by one,
+scaling any row of [A | b] by a positive factor, or all of b by one,
 leaves the pivots as they are up to rounding. So ``solvers.fit_lpd`` on
 features rescaled by s, whose rows scale by s^2 and b by s, takes the same
 pivots.
@@ -120,26 +120,21 @@ def _dual_iterate(T, basis):
 
 
 class InequalityLP:
-    """min c'x over {x >= 0 : Ax <= b}, with the rows of A appended in batches.
+    """min sum(x) over {x >= 0 : Ax <= b}, with the rows of A appended in batches.
 
     Each ``append`` re-optimises from the basis the last one left, so a
     cutting-plane loop pays only for the pivots its new rows need.
     """
 
-    def __init__(self, c):
-        c = np.asarray(c, dtype=float)
-        if c.ndim != 1:
-            raise ValueError("inconsistent LP dimensions")
-        if not np.all(np.isfinite(c) & (c >= 0)):
-            raise ValueError("LP costs must be finite and nonnegative")
-        self._n = c.size
-        self._T = np.zeros((1, c.size + 1))
-        self._T[0, :-1] = c
+    def __init__(self, n):
+        self._n = n
+        self._T = np.zeros((1, n + 1))
+        self._T[0, :-1] = 1.0
         self._basis = np.zeros(0, dtype=int)
         self._row_scale = np.zeros(0)
 
     def append(self, A, b):
-        """Add the rows Ax <= b and re-optimise. Returns (x, objective).
+        """Add the rows Ax <= b and re-optimise. Returns the optimal x.
 
         Raises ValueError for rows that do not fit the LP or are not finite,
         LpInfeasibleError, with its certificate over all rows appended so
@@ -175,4 +170,4 @@ class InequalityLP:
         x = np.zeros(n)
         structural = basis < n
         x[basis[structural]] = T[:-1, -1][structural]
-        return x, float(-T[-1, -1])
+        return x

@@ -6,7 +6,8 @@ Three routes to the discriminant directions:
   per-feature (row-wise) Euclidean norm penalty, solved by accelerated
   proximal gradient with function-value adaptive restart, and finished by
   Newton's method on the stationarity equations of the support once that
-  support has settled.
+  support has settled. A fit whose KKT conditions hold at zero, that is
+  lambda >= max_j ||delta_j||, ends there before the first iteration.
 * ``fit_single_lasso`` - one direction at a time under an l1 penalty: the
   grouped problem with a single direction, so one-entry groups.
 * ``fit_lpd``       - one direction at a time, minimum l1 norm subject to an
@@ -53,10 +54,6 @@ __all__ = [
 # Iteration budget of a proximal-gradient fit. ``_proximal_gradient`` reads
 # it at call time.
 _MAX_ITER = 5000
-
-# Relative change in the objective below which an iteration counts as
-# stalled; two stalled iterations in a row trigger a KKT check.
-_STALL_TOL = 1e-8
 
 # A fit is optimal once its KKT residual, in units of max(|G|_inf, lam),
 # is at most this.
@@ -151,9 +148,12 @@ def group_prox(x, lam):
     ||x|| <= lam (including x = 0). This is the step the solvers take, so
     a norm within a relative 1e-12 above lam is also snapped to zero.
     """
+    lam = float(lam)
+    if not math.isfinite(lam):
+        raise ValueError("lam must be finite")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    rows, _, _ = _prox_rows(np.asarray(x, dtype=float)[None, :], float(lam))
+    rows, _, _ = _prox_rows(np.asarray(x, dtype=float)[None, :], lam)
     return rows[0]
 
 
@@ -310,14 +310,17 @@ def _support_newton(S, X, G, lam, active, fx):
 def _proximal_gradient(S, G, lam):
     """Accelerated proximal gradient on the p x K' grouped problem.
 
-    The step is 1/L with L the exact top eigenvalue of S. When S is
-    singular, G itself is projected onto the null space of S before the
-    first iteration; a projection with positive gain ends the run as
-    ``unbounded`` at iteration 0 with x = 0. Otherwise every 25th
-    iteration that does not exit on its KKT residual projects the iterate,
-    and the step since the last such checkpoint, the same way; a
-    projection with positive gain ends the run as ``unbounded`` at that
-    iterate.
+    The step is 1/L with L the exact top eigenvalue of S. The run is
+    decided at x = 0 first: a KKT residual there of at most _KKT_EXIT
+    max(|G|_inf, lam) ends it as ``optimal`` at iteration 0. Otherwise,
+    when S is singular, G itself is projected onto the null space of S,
+    and a projection with positive gain ends the run as ``unbounded`` at
+    iteration 0 with x = 0. After that the run is decided only at every
+    25th iteration and by the Newton attempts below. A checkpoint ends the
+    run as ``optimal`` if the iterate passes the KKT exit; otherwise, when
+    S is singular, it projects the iterate, and the step since the last
+    checkpoint, the same way, and a projection with positive gain ends the
+    run as ``unbounded`` at that iterate.
 
     Each iteration forms one product with F and one with F' (S = F'F):
     F x_{m+1} for the objective, which every objective value gets fresh,
@@ -334,24 +337,23 @@ def _proximal_gradient(S, G, lam):
     is finite, its objective is at most the last iterate's and it passes
     the same KKT exit as the iterates; its objective joins the trace. Each
     attempt that does not land doubles the steady run the next one needs,
-    so a support that keeps moving costs O(log _MAX_ITER) attempts. A run
-    that reaches _MAX_ITER gets one last attempt if its final support has
-    held still for the first attempt's steady run. The iterates never take
-    the Newton point, so a run on which no attempt lands is the plain
-    accelerated run. Returns the p x K' solution and its SolverReport.
+    so a support that keeps moving costs O(log _MAX_ITER) attempts. The
+    iterates never take the Newton point, so a run on which no attempt
+    lands is the plain accelerated run, and it ends ``max_iter`` at the
+    budget. Returns the p x K' solution and its SolverReport.
     """
     scale = max(float(np.abs(G).max(initial=0.0)), lam)
-    if scale == 0.0:
-        return np.zeros_like(G), SolverReport(0, np.zeros(1), 0.0, "optimal")
+    x = np.zeros_like(G)
+    kkt = _grouped_kkt(S, x, G, lam)
+    if kkt <= _KKT_EXIT * scale:
+        return x, SolverReport(0, np.zeros(1), kkt, "optimal")
     Gs = G / scale
     ls = lam / scale
 
-    x = np.zeros_like(Gs)
     rays = S.has_null_space
     if rays:
         ray = _recession_ray(S, Gs, ls, Gs)
         if ray is not None:
-            kkt = _grouped_kkt(S, x, Gs, ls) * scale
             return x, SolverReport(0, np.zeros(1), kkt, "unbounded", ray)
 
     F = S.factor
@@ -362,11 +364,10 @@ def _proximal_gradient(S, G, lam):
     t = 1.0
     fx = _grouped_objective(S, x, Gs, ls, Fx)
     trace = [fx]
-    stall = 0
     status, ray = "max_iter", None
     iterations = 0
     support = tried = np.zeros(Gs.shape[0], dtype=bool)  # x = 0 has no rows
-    steady, need, newton = 0, _NEWTON_STEADY, None
+    steady, need = 0, _NEWTON_STEADY
     for m in range(1, _MAX_ITER + 1):
         iterations = m
         xn, keep, nrm = _prox_rows(y - (F.T @ Fy - Gs) / L, thr)
@@ -382,16 +383,13 @@ def _proximal_gradient(S, G, lam):
         beta = (t - 1.0) / tn
         y = xn + beta * (xn - x)
         Fy = Fxn + beta * (Fxn - Fx)
-        rel = abs(fn - fx) / max(1.0, abs(fx), abs(fn))
-        stall = stall + 1 if rel < _STALL_TOL else 0
         x, Fx, fx, t = xn, Fxn, fn, tn
         trace.append(fx)
-        if stall >= 2 or m % 25 == 0:
+        if m % 25 == 0:
             if _grouped_kkt(S, x, Gs, ls, Fx) <= _KKT_EXIT:
                 status = "optimal"
                 break
-            stall = 0
-            if rays and m % 25 == 0:
+            if rays:
                 ray = _recession_ray(S, Gs, ls, x, x - x_check)
                 if ray is not None:
                     status = "unbounded"
@@ -403,15 +401,11 @@ def _proximal_gradient(S, G, lam):
             tried = keep
             newton = _support_newton(S, x, Gs, ls, keep, fx)
             if newton is not None:
+                x, fx = newton
+                trace.append(fx)
+                status = "optimal"
                 break
             need *= 2
-    else:
-        if steady >= _NEWTON_STEADY:
-            newton = _support_newton(S, x, Gs, ls, support, fx)
-    if newton is not None:
-        x, fx = newton
-        trace.append(fx)
-        status = "optimal"
 
     kkt_scaled = _grouped_kkt(S, x, Gs, ls)
     report = SolverReport(
@@ -497,7 +491,7 @@ def fit_lpd(S, delta, lam):
         if report.status == "unbounded":
             raise LpInfeasibleError("LPD infeasible at this lambda", ray=report.ray)
         active |= seed != 0
-    lp = InequalityLP(np.ones(2 * p))
+    lp = InequalityLP(2 * p)
     feature, sign = np.zeros(0, dtype=int), np.zeros(0)
     new = active
     while True:
@@ -508,7 +502,7 @@ def fit_lpd(S, delta, lam):
         feature = np.concatenate([feature, idx, idx])
         sign = np.concatenate([sign, np.ones(idx.size), -np.ones(idx.size)])
         try:
-            x, _ = lp.append(A, b)
+            x = lp.append(A, b)
         except LpInfeasibleError as exc:
             u = np.bincount(feature, weights=-sign * exc.ray, minlength=p)
             ray = _recession_ray(S, G, lam, u[:, None])

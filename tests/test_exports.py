@@ -41,6 +41,13 @@ def test_output_digest_runs_and_repeats():
     )
     digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digest)
-    assert len(digest.fit_digests(seeds=(0,))) == 7
+    hashes, counts = digest.fit_digests(seeds=(0,))
+    assert len(hashes) == 7
+    # seed 0 gives 14 grouped fits, 28 single fits and 28 LPD fits
+    assert counts == {
+        "grouped.counts": "optimal=9 unbounded=5 max_iter=0 iterations=247",
+        "single.counts": "optimal=20 unbounded=8 max_iter=0 iterations=730",
+        "lpd.counts": "solved=20 infeasible=8 numerical=0",
+    }
     # the temporary directory differs between runs and must be masked
     assert digest.cli_digest(seeds=(7,)) == digest.cli_digest(seeds=(7,))

@@ -73,8 +73,11 @@ def test_prox_matches_numeric_oracle():
 
 
 def test_prox_rejects_negative_lam():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonnegative"):
         group_prox([1.0], -0.1)
+    for lam in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            group_prox([3.0, 4.0], lam)
 
 
 @settings(max_examples=200, deadline=None)
@@ -425,20 +428,6 @@ def test_newton_solves_no_system_beyond_the_rank_bound(monkeypatch):
         assert all(kp == k for _, kp, _ in attempts)
         assert len(sizes) > 0 and max(sizes) <= k * k * S.rank, estimator
         sizes.clear()
-
-
-def test_max_iter_run_gets_a_last_newton_attempt(monkeypatch):
-    # design 1, seed 0, study grid point 4: with a budget of 10 iterations
-    # the last attempt, on the support the run ends with, passes the gate
-    S, D, grid = next(_study_problems([0]))
-    lam = float(grid[4])
-    monkeypatch.setattr(solvers, "_MAX_ITER", 10)
-    ds, rep = fit_grouped(S, D, lam)
-    assert rep.status == "optimal" and rep.iterations == 10
-    assert kkt_residual(S, D, lam, ds) <= 1e-6 * max(np.abs(D).max(), lam)
-    monkeypatch.setattr(solvers, "_support_newton", _no_newton)
-    _, plain = fit_grouped(S, D, lam)
-    assert plain.status == "max_iter"
 
 
 def test_hard_bounded_fit_backs_off_its_newton_attempts(monkeypatch):
@@ -1205,20 +1194,45 @@ def test_unbounded_past_the_projection_of_g_is_found_at_a_checkpoint():
 def test_default_path_fits_certified_before_the_first_iteration():
     # design 1, seed 0, default 50-point path: the projection of G certifies
     # 36 of the 38 unbounded grouped fits and 69 of the 74 unbounded single
-    # fits at iteration 0
+    # fits at iteration 0, and the test at x = 0 ends the 1 grouped and 7
+    # single fits whose solution is zero there
     from glda.select import lambda_grid, lambda_max
     from glda.simulate import sample, sim1_spec
 
     d = sample(sim1_spec(0))
     cs = summarize(d)
     S = pooled_scatter(d, cs)
-    for estimator, unbounded, at_zero in (("grouped", 38, 36), ("single", 74, 69)):
-        reports = []
+    for estimator, unbounded, at_zero in (("grouped", 38, 37), ("single", 74, 76)):
+        fits = []
         for lam in lambda_grid(lambda_max(cs.deltas), 50, 3.0).values:
-            reports += fit_directions(estimator, S, cs.deltas, float(lam))[1]
-        assert sum(r.status == "unbounded" for r in reports) == unbounded, estimator
-        assert sum(r.iterations == 0 for r in reports) == at_zero, estimator
-        assert all(r.status == "unbounded" for r in reports if r.iterations == 0)
+            ds, reports = fit_directions(estimator, S, cs.deltas, float(lam))
+            fits += zip(ds.matrix.T if estimator == "single" else [ds.matrix], reports)
+        assert sum(r.status == "unbounded" for _, r in fits) == unbounded, estimator
+        assert sum(r.iterations == 0 for _, r in fits) == at_zero, estimator
+        assert all(
+            r.status == "unbounded" or (r.status == "optimal" and not X.any())
+            for X, r in fits
+            if r.iterations == 0
+        ), estimator
+
+
+def test_fits_at_or_above_lambda_max_end_at_zero_before_iterating():
+    # at lam >= lambda_max = max_j ||delta_j|| the KKT conditions hold at 0,
+    # so no iteration is taken
+    from glda.select import lambda_max
+    from glda.simulate import sample, sim1_spec
+
+    d = sample(sim1_spec(0))
+    cs = summarize(d)
+    S = pooled_scatter(d, cs)
+    lmax = lambda_max(cs.deltas)
+    for lam in (lmax, 1.5 * lmax):
+        for estimator in ("grouped", "single"):
+            ds, reports = fit_directions(estimator, S, cs.deltas, lam)
+            assert not ds.matrix.any(), (estimator, lam)
+            for rep in reports:
+                assert rep.status == "optimal" and rep.iterations == 0, (estimator, lam)
+                assert rep.objective_trace.tolist() == [0.0]
 
 
 def test_singular_scatter_with_delta_in_its_range_is_bounded():

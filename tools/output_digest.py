@@ -4,7 +4,7 @@ Run from a checkout's root:
 
     PYTHONPATH=src python tools/output_digest.py
 
-and diff what two checkouts print. The families are:
+and diff what two checkouts print. The hashed families are:
 
 * ``grouped.{directions,reports,traces}`` - ``fit_grouped`` over the
   criterion-5 study grid (``lambda_grid(2.5, 14, 0.8)``) on design 1 at
@@ -24,6 +24,11 @@ Numbers are hashed as their float64 bytes, so any change in the last bit
 shows. Reports hash the iteration count, KKT residual, status and ray;
 traces hash the objective trace on its own, since it is the one output
 whose rounding follows the order of the objective's sums.
+
+After the hashes come the counts of each fit family, so a change to the
+outputs shows what it did to them: ``grouped.counts`` and ``single.counts``
+give the fits ending in each status and the iterations they took in all,
+``lpd.counts`` the solved, infeasible and numerically failed fits.
 """
 
 import contextlib
@@ -52,14 +57,23 @@ def _report_bytes(rep):
 
 
 def fit_digests(seeds=FIT_SEEDS):
-    """Hashes of the grouped, single and LPD fits over the study grid at ``seeds``."""
+    """Hashes and counts of the grouped, single and LPD fits over the study grid at ``seeds``.
+
+    Returns two dicts: the hash of each family, and each family's counts
+    as one ``key=value`` line.
+    """
     names = [f"{e}.{part}" for e in ("grouped", "single") for part in ("directions", "reports", "traces")]
     h = {name: hashlib.sha256() for name in (*names, "lpd")}
+    keys = ("optimal", "unbounded", "max_iter", "iterations")
+    counts = {e: dict.fromkeys(keys, 0) for e in ("grouped", "single")}
+    counts["lpd"] = dict.fromkeys(("solved", "infeasible", "numerical"), 0)
 
     def add(estimator, beta, rep):
         h[f"{estimator}.directions"].update(_float_bytes(beta))
         h[f"{estimator}.reports"].update(_report_bytes(rep))
         h[f"{estimator}.traces"].update(_float_bytes(rep.objective_trace) + b"|")
+        counts[estimator][rep.status] += 1
+        counts[estimator]["iterations"] += rep.iterations
 
     grid = select.lambda_grid(*STUDY_GRID).values
     for seed in seeds:
@@ -74,12 +88,16 @@ def fit_digests(seeds=FIT_SEEDS):
                 add("single", *solvers.fit_single_lasso(S, delta, lam))
                 try:
                     out = b"solution|" + _float_bytes(solvers.fit_lpd(S, delta, lam))
+                    counts["lpd"]["solved"] += 1
                 except solvers.LpInfeasibleError as exc:
                     out = b"infeasible|" + _float_bytes(exc.ray)
+                    counts["lpd"]["infeasible"] += 1
                 except solvers.LpNumericalError as exc:
                     out = f"numerical {exc}".encode()
+                    counts["lpd"]["numerical"] += 1
                 h["lpd"].update(out + b"|")
-    return {name: h[name].hexdigest() for name in h}
+    lines = {f"{e}.counts": " ".join(f"{k}={v}" for k, v in c.items()) for e, c in counts.items()}
+    return {name: h[name].hexdigest() for name in h}, lines
 
 
 def _run(h, tmp, argv):
@@ -114,9 +132,9 @@ def cli_digest(seeds=CLI_SEEDS):
 
 
 def main():
-    digests = fit_digests()
+    digests, counts = fit_digests()
     digests["cli"] = cli_digest()
-    for name, value in digests.items():
+    for name, value in {**digests, **counts}.items():
         print(f"{name:<18} {value}")
     return 0
 
