@@ -28,6 +28,20 @@ NULL_CUT = 1e-10
 
 
 def _frozen(a, dtype=float):
+    """``a`` as a read-only array of ``dtype``, copied unless it already is one.
+
+    An ndarray of ``dtype`` that is read-only, owns its data and is
+    C-contiguous is returned as it is. Anything else (a writable array, a
+    view, a Fortran-ordered array, a list) is copied and the copy frozen.
+    """
+    if (
+        type(a) is np.ndarray
+        and a.dtype == dtype
+        and not a.flags.writeable
+        and a.flags.owndata
+        and a.flags.c_contiguous
+    ):
+        return a
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
@@ -194,12 +208,15 @@ class DirectionSet:
 
     Row j stacks the j-th coefficient of every direction; penalizing its
     Euclidean norm removes feature j from all pairwise rules at once.
+    The matrix is a copy in which every -0.0 is +0.0, so a zero
+    coefficient reads and prints the same whatever its sign was.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         B = np.array(self.matrix, dtype=float)
+        B += 0.0  # -0.0 + 0.0 is +0.0; every other value is kept bit for bit
         if B.ndim != 2:
             raise ValueError("directions must form a 2-d matrix")
         B.setflags(write=False)

@@ -13,7 +13,7 @@ equal Sigma^{-1}(mu_1 - mu_{k+1}) exactly.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -37,26 +37,36 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimulationSpec:
-    """Gaussian classes sharing Sigma, with means mu_1 = 0 and mu_{k+1} = -Sigma b_k."""
+    """Gaussian classes sharing Sigma, with means mu_1 = 0 and mu_{k+1} = -Sigma b_k.
+
+    Construction factors Sigma once, as the caller gave it, and keeps the
+    read-only lower Cholesky factor in ``sigma_factor`` (Sigma = L L'),
+    which ``sample`` draws with. Only then is the frozen copy of Sigma
+    taken, so the copy and numpy's Cholesky work buffer are never alive
+    together.
+    """
 
     sigma: np.ndarray
     true_directions: DirectionSet
     n_per_class: np.ndarray
     seed: int
+    sigma_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sigma = np.array(self.sigma, dtype=float)
-        n = np.array(self.n_per_class, dtype=int)
-        for arr in (sigma, n):
-            arr.setflags(write=False)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "n_per_class", n)
-        if not np.array_equal(sigma, sigma.T):
+        given = np.asarray(self.sigma, dtype=float)
+        if not np.array_equal(given, given.T):
             raise ValueError("Sigma must be symmetric")
         try:
-            np.linalg.cholesky(sigma)
+            L = np.linalg.cholesky(given)
         except np.linalg.LinAlgError:
             raise ValueError("Sigma not positive definite") from None
+        sigma = np.array(given)
+        n = np.array(self.n_per_class, dtype=int)
+        for arr in (L, sigma, n):
+            arr.setflags(write=False)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "sigma_factor", L)
+        object.__setattr__(self, "n_per_class", n)
         if np.any(n < 1):
             raise ValueError("every class needs at least one sample")
         if n.size != self.true_directions.n_directions + 1:
@@ -133,17 +143,24 @@ def sim2_spec(seed: int) -> SimulationSpec:
 
 
 def sample(spec: SimulationSpec) -> Dataset:
-    """Draw the per-class Gaussian samples of the design, seeded."""
-    mus = spec.mus  # before the p x p factor: at p=2000 this keeps the peak RSS 7 MB lower
-    L = np.linalg.cholesky(spec.sigma)
+    """Draw the per-class Gaussian samples of the design, seeded.
+
+    Class k's rows are mus[k] + Z L' with Z standard normal and L the
+    spec's ``sigma_factor``, drawn class by class in label order. They are
+    written straight into one N x p array, which is frozen and kept by the
+    returned Dataset, so the features are never copied.
+    """
+    counts = spec.n_per_class
     rng = np.random.default_rng(spec.seed)
-    blocks = []
-    labels = []
-    for k in range(spec.n_classes):
-        Z = rng.standard_normal((int(spec.n_per_class[k]), spec.p))
-        blocks.append(mus[k] + Z @ L.T)
-        labels.append(np.full(int(spec.n_per_class[k]), k + 1))
-    return Dataset(np.vstack(blocks), np.concatenate(labels))
+    X = np.empty((int(counts.sum()), spec.p))
+    start = 0
+    for k, n_k in enumerate(counts):
+        rows = X[start : start + n_k]
+        np.matmul(rng.standard_normal((n_k, spec.p)), spec.sigma_factor.T, out=rows)
+        rows += spec.mus[k]
+        start += n_k
+    X.setflags(write=False)
+    return Dataset(X, np.repeat(np.arange(1, spec.n_classes + 1), counts))
 
 
 def covariance_summary(sigma) -> CovarianceSummary:

@@ -345,6 +345,19 @@ def test_path_file_shape_and_zero_block(tmp_path):
     assert all(float(r[3]) == 0.0 for r in top)
 
 
+def test_path_writes_no_negative_zero(tmp_path):
+    # the proximal step zeroes entries by multiplying by 0.0, which keeps the
+    # sign of a negative entry; design 1 at seed 41 has such entries on its
+    # default grouped path, and DirectionSet must store them as +0.0
+    data, out = tmp_path / "sim.csv", tmp_path / "path.csv"
+    assert main(["simulate", "sim1", "--seed", "41", "--out", str(data),
+                 "--truth-out", str(tmp_path / "truth.json")]) == 0
+    assert main(["path", str(data), "--out", str(out)]) == 0
+    fields = [f for line in out.read_text().split("\n")[1:] for f in line.split(",")]
+    zeros = [f for f in fields if f and float(f) == 0.0]
+    assert zeros and not any(f.startswith("-") for f in zeros)
+
+
 @pytest.mark.parametrize("estimator", ["single", "lpd"])
 def test_path_matches_fit_directions(tmp_path, estimator):
     from glda.model import pooled_scatter, summarize

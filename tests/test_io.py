@@ -40,9 +40,10 @@ def test_csv_and_model_file_exact_bytes(tmp_path):
     model = ClassifierModel(directions=DirectionSet([[0.5], [-0.0]]),
                             means=np.array([[0.1, 0.0], [1.0, 2.0]]), priors=np.array([0.25, 0.75]))
     io.write_model_file(path, model, "grouped")
+    # features keep -0.0 as given; DirectionSet stores a zero coefficient as +0.0
     assert path.read_text() == (
         "glda-model 1\nkind lda K 2 p 2 estimator grouped\npriors\n0.25 0.75\n"
-        "means\n0.10000000000000001 0\n1 2\ndirections\n0.5\n-0\n"
+        "means\n0.10000000000000001 0\n1 2\ndirections\n0.5\n0\n"
     )
 
 

@@ -56,6 +56,29 @@ def test_dataset_rejects_non_finite_features(bad):
         Dataset(X, np.array([1, 1, 2, 2]))
 
 
+def test_dataset_keeps_a_frozen_owned_array_and_copies_the_rest():
+    X = np.arange(12.0).reshape(6, 2).copy()  # reshape alone gives a view
+    y = np.array([1, 1, 1, 2, 2, 2])
+    X.setflags(write=False)
+    assert Dataset(X, y).features is X
+    writable = np.arange(12.0).reshape(6, 2)
+    view = X[:, :1]
+    fortran = np.asfortranarray(np.arange(12.0).reshape(6, 2))
+    fortran.setflags(write=False)
+    for A in (writable, view, fortran):
+        kept = Dataset(A, y).features
+        assert kept is not A and not np.shares_memory(kept, A)
+        assert np.array_equal(kept, A) and not kept.flags.writeable
+
+
+def test_direction_set_has_no_negative_zeros():
+    assert not np.signbit(DirectionSet([[-0.0]]).matrix).any()
+    B = np.array([[-0.0, 1.5], [-2.0, 0.0]])
+    ds = DirectionSet(B)
+    assert np.signbit(ds.matrix).tolist() == [[False, False], [True, False]]
+    assert np.array_equal(ds.matrix, B)
+
+
 def test_pooled_scatter_hand_case():
     d = two_class_1d()
     S = pooled_scatter(d, summarize(d))

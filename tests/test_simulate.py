@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,74 @@ def test_sample_deterministic_and_shaped():
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
     assert a.n_samples == 60 and a.p == 200
+
+
+def _reference_sample(spec):
+    # the plain form of the draw: per class in label order,
+    # mus[k] + Z @ cholesky(Sigma).T, then stacked
+    L = np.linalg.cholesky(spec.sigma)
+    rng = np.random.default_rng(spec.seed)
+    blocks, labels = [], []
+    for k, n in enumerate(spec.n_per_class):
+        blocks.append(spec.mus[k] + rng.standard_normal((int(n), spec.p)) @ L.T)
+        labels.append(np.full(int(n), k + 1))
+    return np.vstack(blocks), np.concatenate(labels)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        sim1_spec(3),
+        sim2_spec(8),
+        spec_from_directions(sim2_spec(0).sigma, sim2_spec(0).true_directions, (7, 31, 2), 9),
+    ],
+    ids=["sim1", "sim2", "unequal"],
+)
+def test_sample_matches_reference_draw_bytewise(spec):
+    X, y = _reference_sample(spec)
+    d = sample(spec)
+    assert d.features.tobytes() == X.tobytes()
+    assert d.labels.tobytes() == y.tobytes()
+    assert d.features.flags.c_contiguous
+
+
+def test_sample_peak_memory_is_one_output_plus_one_class():
+    # sample draws each class into one preallocated N x p array that the
+    # Dataset keeps, so its traced peak is the output plus one class's
+    # draws (1.5x here), not a second factor, the blocks, their stack and
+    # a copy. tracemalloc does not see numpy's Cholesky work buffer, so the
+    # saving from factoring Sigma before copying it in SimulationSpec shows
+    # in the benchmark's peak RSS, not in this test.
+    p = 1000
+    B = np.zeros((p, 1))
+    B[0, 0] = 1.0
+    spec = spec_from_directions(np.eye(p), B, (500, 500), 0)
+    sample(sim1_spec(0))  # the first draw in a process imports modules numpy loads lazily
+    tracemalloc.start()
+    try:
+        d = sample(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.features.nbytes == 8 * 1000 * p
+    assert peak <= 1.6 * d.features.nbytes
+
+
+def test_spec_keeps_its_own_sigma_and_factor():
+    sigma = sim2_spec(0).sigma.copy()
+    spec = spec_from_directions(sigma, sim2_spec(0).true_directions, (4, 4, 4), 0)
+    sigma[0, 0] = 50.0
+    assert spec.sigma[0, 0] == 1.0
+    assert not spec.sigma.flags.writeable and not spec.sigma_factor.flags.writeable
+    assert np.array_equal(spec.sigma_factor, np.linalg.cholesky(spec.sigma))
+
+
+def test_spec_rejects_non_symmetric_or_indefinite_sigma():
+    B = np.array([[1.0], [0.0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        spec_from_directions(np.array([[1.0, 0.5], [0.0, 1.0]]), B, (2, 2), 0)
+    with pytest.raises(ValueError, match="positive definite"):
+        spec_from_directions(np.array([[1.0, 2.0], [2.0, 1.0]]), B, (2, 2), 0)
 
 
 def test_sample_rejects_empty_class():

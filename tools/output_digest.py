@@ -18,7 +18,11 @@ and diff what two checkouts print. The hashed families are:
   ``simulate``, ``cv``, and ``path`` and ``fit`` with each estimator,
   ``fit`` at lambda 0.5, 1.3 and the one ``cv`` chose. It covers every exit code,
   stdout and stderr (the temporary directory masked) and every written
-  file.
+  file;
+* ``sample`` - the features and labels ``simulate.sample`` draws for
+  designs 1 and 2 at the fit seeds, and for a p = 2000 identity design
+  with design 1's directions and 200 samples per class, as perfbench's
+  ``wide-io`` training set uses.
 
 Numbers are hashed as their float64 bytes, so any change in the last bit
 shows. Reports hash the iteration count, KKT residual, status and ray;
@@ -45,6 +49,7 @@ from glda import cli, model, select, simulate, solvers
 FIT_SEEDS = (*range(20), *range(58, 64))
 STUDY_GRID = (2.5, 14, 0.8)
 CLI_SEEDS = (7, 41)
+WIDE_P = 2000
 
 
 def _float_bytes(a):
@@ -100,6 +105,19 @@ def fit_digests(seeds=FIT_SEEDS):
     return {name: h[name].hexdigest() for name in h}, lines
 
 
+def sample_digest(seeds=FIT_SEEDS):
+    """Hash of the samples drawn for designs 1 and 2 at ``seeds`` and for one wide design."""
+    specs = [make(seed) for make in (simulate.sim1_spec, simulate.sim2_spec) for seed in seeds]
+    B = np.zeros((WIDE_P, 2))
+    B[0:3] = simulate.sim1_spec(0).true_directions.matrix[0:3]
+    specs.append(simulate.spec_from_directions(np.eye(WIDE_P), B, (200, 200, 200), 0))
+    h = hashlib.sha256()
+    for spec in specs:
+        d = simulate.sample(spec)
+        h.update(_float_bytes(d.features) + d.labels.astype(np.int64).tobytes() + b"|")
+    return h.hexdigest()
+
+
 def _run(h, tmp, argv):
     # hashes the command, its exit code and both streams; returns stdout
     out, err = io.StringIO(), io.StringIO()
@@ -133,6 +151,7 @@ def cli_digest(seeds=CLI_SEEDS):
 
 def main():
     digests, counts = fit_digests()
+    digests["sample"] = sample_digest()
     digests["cli"] = cli_digest()
     for name, value in {**digests, **counts}.items():
         print(f"{name:<18} {value}")
