@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NULL_CUT, ClassSummaries, Dataset, DirectionSet, as_scatter, summarize
+from .model import ClassSummaries, Dataset, DirectionSet, _frozen, as_scatter, summarize
 
 __all__ = [
     "ClassifierModel",
@@ -41,13 +41,6 @@ def _argmax_last(score_rows):
     return k - np.argmax(rev, axis=1)
 
 
-def _freeze(model, *names):
-    for name in names:
-        arr = np.array(getattr(model, name), dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(model, name, arr)
-
-
 def _check_model(means, priors, coefficients):
     """What both model kinds require: a means matrix, one prior per class,
     priors summing to 1, and finite means, priors and coefficients (the
@@ -69,7 +62,8 @@ class ClassifierModel:
     priors: np.ndarray
 
     def __post_init__(self):
-        _freeze(self, "means", "priors")
+        for name in ("means", "priors"):  # a summary's frozen arrays are kept as they are
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
         _check_model(self.means, self.priors, self.directions.matrix)
         if self.directions.n_directions != self.n_classes - 1:
             raise ValueError("need exactly K-1 directions")
@@ -120,7 +114,8 @@ class NaiveBayesModel:
     priors: np.ndarray
 
     def __post_init__(self):
-        _freeze(self, "means", "variances", "priors")
+        for name in ("means", "variances", "priors"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
         _check_model(self.means, self.priors, self.variances)
         if self.variances.shape != self.means.shape:
             raise ValueError("variances must have the shape of the means")
@@ -189,13 +184,9 @@ def evaluate(m, test: Dataset) -> PredictionReport:
 def pseudoinverse_lda_fit(S, cs: ClassSummaries) -> DirectionSet:
     """Directions from the Moore-Penrose pseudo-inverse of the pooled scatter.
 
-    Uses the thin SVD F = U diag(s) V' of the scatter's factor, so S = V
-    diag(s^2) V'. Eigenvalues s^2 at most NULL_CUT (1e-10) times the
-    largest are treated as zero.
+    S+ = V' diag(1/w) V from the scatter's ``spectrum``, so eigenvalues at
+    most NULL_CUT (1e-10) times the largest are treated as zero, the same
+    cut that decides S's rank and null space.
     """
-    _, s, Vt = np.linalg.svd(as_scatter(S).factor, full_matrices=False)
-    w = s * s
-    keep = w > NULL_CUT * w.max(initial=0.0)
-    Vk = Vt[keep]
-    B = Vk.T @ ((Vk @ cs.deltas.T) / w[keep, None])
-    return DirectionSet(B)
+    w, V = as_scatter(S).spectrum
+    return DirectionSet(V.T @ ((V @ cs.deltas.T) / w[:, None]))

@@ -22,8 +22,9 @@ __all__ = [
 ]
 
 
-# Eigenvalues of the scatter at most this fraction of the largest are
-# treated as zero (its null space, and the pseudo-inverse's cut).
+# Eigenvalues of a scatter at most this fraction of its largest are
+# treated as zero. This one rule decides its rank and null space, the
+# pseudo-inverse, and whether an oracle's support block is singular.
 NULL_CUT = 1e-10
 
 
@@ -42,9 +43,13 @@ def _frozen(a, dtype=float):
         and a.flags.c_contiguous
     ):
         return a
-    out = np.array(a, dtype=dtype)
-    out.setflags(write=False)
-    return out
+    return _read_only(np.array(a, dtype=dtype))
+
+
+def _read_only(a):
+    """The array ``a`` itself, made read-only: for one just computed that nothing else holds."""
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -108,11 +113,11 @@ class ClassSummaries:
 
     @cached_property
     def priors(self):
-        return _frozen(self.counts / self.counts.sum())
+        return _read_only(self.counts / self.counts.sum())
 
     @cached_property
     def deltas(self):
-        return _frozen(self.means[0] - self.means[1:])
+        return _read_only(self.means[0] - self.means[1:])
 
     @property
     def n_classes(self):
@@ -148,25 +153,30 @@ class PooledScatter:
 
     @cached_property
     def matrix(self):
-        S = self.factor.T @ self.factor
-        S.setflags(write=False)
-        return S
+        return _read_only(self.factor.T @ self.factor)
 
     @cached_property
-    def _gram_eigh(self):
-        """eigh of the Gram matrix of F's shorter side (F F' if N <= p, else F'F = S).
+    def spectrum(self):
+        """(w, V): S's eigenvalues above NULL_CUT times the largest, and their eigenvectors.
 
-        Both share S's nonzero eigenvalues. Returns (w, U, keep), with
-        ``keep`` marking the eigenvalues above the numerical-zero cut.
+        The r x p matrix V has orthonormal rows spanning the range of S. Both
+        come from one ``eigh`` of the Gram matrix of F's shorter side, which
+        shares S's nonzero eigenvalues: F F' = U diag(w) U' and
+        V = diag(w)^-1/2 U'F when N <= p; S itself, with V' its kept
+        eigenvectors, when N > p.
         """
         F = self.factor
-        w, U = np.linalg.eigh(F @ F.T if F.shape[0] <= F.shape[1] else F.T @ F)
-        return w, U, w > NULL_CUT * max(w[-1], 0.0)
+        short = F.shape[0] <= F.shape[1]
+        w, U = np.linalg.eigh(F @ F.T if short else F.T @ F)
+        keep = w > NULL_CUT * max(w[-1], 0.0)
+        w, U = w[keep], U[:, keep]
+        V = (U / np.sqrt(w)).T @ F if short else U.T.copy()
+        return _read_only(w), _read_only(V)
 
     @property
     def top_eigenvalue(self):
         """Largest eigenvalue of S."""
-        return float(self._gram_eigh[0][-1])
+        return float(self.spectrum[0].max(initial=0.0))
 
     @property
     def rank(self):
@@ -174,7 +184,7 @@ class PooledScatter:
 
         At most N - K for a ``pooled_scatter``.
         """
-        return int(np.count_nonzero(self._gram_eigh[2]))
+        return self.spectrum[0].size
 
     @property
     def has_null_space(self):
@@ -185,17 +195,13 @@ class PooledScatter:
         """Orthogonal projection of the p x m matrix D onto the null space of S.
 
         Eigenvalues of S at most NULL_CUT times the largest count as zero.
-        For N <= p this is D - F'U diag(1/w) U'(F D) over the kept
-        eigenpairs, at O(N p m); for N > p it is V0 V0' D with V0 the
-        eigenvectors of the cut eigenvalues.
+        This is D - V'(V D) with V from ``spectrum``, at O(r p m). At full
+        rank the projection is exactly zero.
         """
-        w, U, keep = self._gram_eigh
-        F = self.factor
-        if F.shape[0] <= F.shape[1]:
-            Uk = U[:, keep]
-            return D - F.T @ (Uk @ ((Uk.T @ (F @ D)) / w[keep, None]))
-        V0 = U[:, ~keep]
-        return V0 @ (V0.T @ D)
+        if not self.has_null_space:
+            return np.zeros(np.shape(D))
+        V = self.spectrum[1]
+        return D - V.T @ (V @ D)
 
     def dot(self, X):
         """S @ X through the factor."""
@@ -219,8 +225,7 @@ class DirectionSet:
         B += 0.0  # -0.0 + 0.0 is +0.0; every other value is kept bit for bit
         if B.ndim != 2:
             raise ValueError("directions must form a 2-d matrix")
-        B.setflags(write=False)
-        object.__setattr__(self, "matrix", B)
+        object.__setattr__(self, "matrix", _read_only(B))
 
     @property
     def p(self):

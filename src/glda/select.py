@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import build_model, evaluate
-from .model import Dataset, DirectionSet, pooled_scatter, summarize
+from .model import Dataset, DirectionSet, _frozen, pooled_scatter, summarize
 from .solvers import fit_directions, hard_threshold
 
 __all__ = [
@@ -32,7 +32,7 @@ class LambdaGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _frozen(self.values)
         object.__setattr__(self, "values", v)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("grid must be a nonempty vector")

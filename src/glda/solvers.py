@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import NULL_CUT, DirectionSet, as_scatter
+from .model import NULL_CUT, DirectionSet, PooledScatter, _frozen, as_scatter
 from .simplex import InequalityLP, LpInfeasibleError, LpNumericalError
 
 __all__ = [
@@ -92,7 +92,7 @@ class SolverReport:
     ray: np.ndarray | None = None
 
     def __post_init__(self):
-        trace = np.asarray(self.objective_trace, dtype=float)
+        trace = _frozen(self.objective_trace)
         object.__setattr__(self, "objective_trace", trace)
         if trace.size and trace[-1] > trace[0] + 1e-12:
             raise ValueError("objective increased over the run")
@@ -103,9 +103,7 @@ class SolverReport:
         if (self.ray is None) == (self.status == "unbounded"):
             raise ValueError("a ray comes with the unbounded status and only with it")
         if self.ray is not None:
-            ray = np.array(self.ray, dtype=float)
-            ray.setflags(write=False)
-            object.__setattr__(self, "ray", ray)
+            object.__setattr__(self, "ray", _frozen(self.ray))
 
     @property
     def converged(self):
@@ -577,7 +575,12 @@ def kkt_residual(S, deltas, lam, ds: DirectionSet) -> float:
 
 
 def oracle_restricted_fit(S, delta, support) -> np.ndarray:
-    """Solve the scatter system restricted to a known support, zero elsewhere."""
+    """Solve the scatter system restricted to a known support T, zero elsewhere.
+
+    The block S_TT is the scatter of F's columns T. It is singular, and
+    LinAlgError is raised, when its rank under NULL_CUT is below |T|;
+    otherwise the solution is V'((V delta_T) / w) from its ``spectrum``.
+    """
     S, G, _ = _grouped_problem(S, np.reshape(delta, (1, -1)), 0.0)
     d = G[:, 0]
     idx = np.asarray(sorted(support), dtype=int)
@@ -586,9 +589,9 @@ def oracle_restricted_fit(S, delta, support) -> np.ndarray:
         return beta
     if idx[0] < 0 or idx[-1] >= d.size:
         raise ValueError("support indices must lie in 0..p-1")
-    Fi = S.factor[:, idx]
-    block = Fi.T @ Fi
-    if np.linalg.cond(block) >= 1e12:
+    block = PooledScatter(S.factor[:, idx])
+    if block.has_null_space:
         raise np.linalg.LinAlgError("restricted scatter block is singular")
-    beta[idx] = np.linalg.solve(block, d[idx])
+    w, V = block.spectrum
+    beta[idx] = V.T @ ((V @ d[idx]) / w)
     return beta

@@ -12,7 +12,7 @@ from glda.classify import (
     pseudoinverse_lda_fit,
     scores,
 )
-from glda.model import Dataset, DirectionSet, summarize
+from glda.model import Dataset, DirectionSet, pooled_scatter, summarize
 
 
 def hand_binary_model():
@@ -47,6 +47,18 @@ def test_build_model_shape_checks():
     assert model.n_classes == 2
     with pytest.raises(ValueError):
         build_model(cs, DirectionSet(np.array([[1.0, 0.0]])))  # K' = K
+
+
+def test_build_model_keeps_the_summaries_frozen_arrays_and_copies_writable_ones():
+    d = Dataset(np.array([[0.0], [1.0], [4.0], [5.0]]), np.array([1, 1, 2, 2]))
+    cs = summarize(d)
+    model = build_model(cs, DirectionSet(np.array([[1.0]])))
+    assert model.means is cs.means and model.priors is cs.priors
+    means = np.array([[0.5], [4.5]])
+    kept = ClassifierModel(DirectionSet(np.array([[1.0]])), means, cs.priors).means
+    assert kept is not means and not kept.flags.writeable
+    means[0, 0] = 9.0
+    assert kept[0, 0] == 0.5
 
 
 def test_build_model_microarray_scale_shapes():
@@ -231,6 +243,19 @@ def test_pinv_invertible_matches_solve():
     ds = pseudoinverse_lda_fit(S, cs)
     expect = np.linalg.solve(S, cs.deltas.T)
     assert np.abs(ds.matrix - expect).max() < 1e-8
+
+
+@pytest.mark.parametrize("n, p", [(9, 20), (40, 6)])
+def test_pinv_matches_numpy_pinv_for_either_factor_shape(n, p):
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, p)) * np.exp(rng.normal(size=p))
+    X[:, -1] = X[:, 0]  # a duplicated column keeps S singular when N > p
+    d = Dataset(X, np.arange(n) % 3 + 1)
+    cs = summarize(d)
+    S = pooled_scatter(d, cs)
+    expect = np.linalg.pinv(S.matrix, rcond=1e-10, hermitian=True) @ cs.deltas.T
+    got = pseudoinverse_lda_fit(S, cs).matrix
+    assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
 
 
 def test_pinv_zero_scatter_gives_zero():

@@ -50,5 +50,6 @@ def test_output_digest_runs_and_repeats():
         "lpd.counts": "solved=20 infeasible=8 numerical=0",
     }
     assert digest.sample_digest(seeds=(0,)) == digest.sample_digest(seeds=(0,))
+    assert digest.spectral_digest(seeds=(0,)) == digest.spectral_digest(seeds=(0,))
     # the temporary directory differs between runs and must be masked
     assert digest.cli_digest(seeds=(7,)) == digest.cli_digest(seeds=(7,))

@@ -152,7 +152,7 @@ def test_top_eigenvalue_on_sim1_seed3():
     assert S.top_eigenvalue == pytest.approx(np.linalg.eigvalsh(S.matrix)[-1], rel=1e-12)
 
 
-@pytest.mark.parametrize("shape", ["n<p", "n>p", "square"])
+@pytest.mark.parametrize("shape", ["n<p", "n>p", "n>p scaled duplicate", "square"])
 def test_null_projection_annihilates_the_factor_and_is_idempotent(shape):
     rng = np.random.default_rng(1)
     if shape == "n<p":
@@ -160,6 +160,10 @@ def test_null_projection_annihilates_the_factor_and_is_idempotent(shape):
     elif shape == "n>p":
         F = rng.normal(size=(10, 4)) @ rng.normal(size=(4, 6))
         S, nullity = PooledScatter(factor=F), 2
+    elif shape == "n>p scaled duplicate":
+        # columns over six decades, the last a copy of the first
+        F = rng.normal(size=(12, 5)) * np.exp(3.0 * rng.normal(size=5))
+        S, nullity = PooledScatter(factor=np.hstack([F, F[:, :1]])), 1
     else:
         A = rng.normal(size=(3, 7))
         S, nullity = as_scatter(A.T @ A), 4
@@ -171,6 +175,43 @@ def test_null_projection_annihilates_the_factor_and_is_idempotent(shape):
     # an orthogonal projector onto a space of the right dimension, not just 0
     assert np.trace(S.null_project(np.eye(S.p))) == pytest.approx(nullity)
     assert np.allclose(P, D - np.linalg.pinv(S.matrix) @ (S.matrix @ D), atol=1e-8)
+
+
+def test_one_eigendecomposition_answers_every_question_about_the_scatter(monkeypatch):
+    from glda.classify import pseudoinverse_lda_fit
+    from glda.solvers import fit_grouped
+
+    d = sample(sim1_spec(0))
+    cs = summarize(d)
+    S = pooled_scatter(d, cs)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a second factorisation of the scatter")
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    monkeypatch.setattr(np.linalg, "cond", forbidden)
+    assert S.top_eigenvalue > 0 and 0 < S.rank < S.p
+    S.null_project(cs.deltas.T)
+    pseudoinverse_lda_fit(S, cs)
+    fit_grouped(S, cs.deltas, 1.0)
+    assert calls == [(d.n_samples, d.n_samples)]
+
+
+def test_spectrum_is_frozen_and_spans_the_range_of_the_scatter():
+    rng = np.random.default_rng(4)
+    for F, rank in ((rng.normal(size=(5, 9)), 5), (rng.normal(size=(9, 3)) @ rng.normal(size=(3, 5)), 3)):
+        w, V = PooledScatter(factor=F).spectrum
+        assert not w.flags.writeable and not V.flags.writeable
+        assert w.shape == (rank,) and V.shape == (rank, F.shape[1])
+        assert np.allclose(V @ V.T, np.eye(w.size), atol=1e-12)
+        assert np.allclose(V.T @ (w[:, None] * V), F.T @ F, atol=1e-10)
 
 
 def test_full_rank_scatter_has_no_null_space():

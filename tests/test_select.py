@@ -45,6 +45,14 @@ def test_lambda_grid_rejects_bad_inputs():
             LambdaGrid(values=np.array(values))
 
 
+def test_lambda_grid_keeps_its_own_frozen_values():
+    v = np.array([2.0, 1.0])
+    grid = LambdaGrid(values=v)
+    v[0] = -1.0
+    assert grid.values.tolist() == [2.0, 1.0]
+    assert not grid.values.flags.writeable
+
+
 def test_lambda_max_anchors_zero_solution():
     d = small_dataset(3)
     cs = summarize(d)

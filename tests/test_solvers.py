@@ -1069,6 +1069,14 @@ def test_oracle_restricted_singular_block():
         oracle_restricted_fit(S, np.array([1.0, 2.0]), [0, 1])
 
 
+def test_oracle_block_is_singular_under_the_scatters_null_cut():
+    # the block's eigenvalue ratio is 9e-12, below NULL_CUT (1e-10)
+    S = PooledScatter(factor=np.diag([1.0, 3e-6]))
+    with pytest.raises(np.linalg.LinAlgError):
+        oracle_restricted_fit(S, np.array([1.0, 1.0]), [0, 1])
+    assert oracle_restricted_fit(S, np.array([1.0, 1.0]), [0]).tolist() == [1.0, 0.0]
+
+
 # --- unbounded certificate ---------------------------------------------
 #
 # With p > N - K the scatter is singular and, below a data-dependent
@@ -1263,12 +1271,22 @@ def test_report_rejects_increasing_objective():
         SolverReport(2, np.array([0.0, 1.0]), 0.0, "optimal")
 
 
+def test_report_trace_cannot_be_changed_after_its_check():
+    trace = np.array([1.0, 0.5])
+    rep = SolverReport(1, trace, 0.0, "optimal")
+    trace[1] = 2.0
+    assert rep.objective_trace.tolist() == [1.0, 0.5]
+    assert not rep.objective_trace.flags.writeable
+
+
 def test_report_status_and_ray_invariants():
     assert SolverReport(1, np.zeros(2), 0.0, "optimal").converged
     assert not SolverReport(1, np.zeros(2), 0.0, "max_iter").converged
     ray = np.array([0.6, 0.8])
     rep = SolverReport(1, np.zeros(2), 0.0, "unbounded", ray)
     assert not rep.converged and not rep.ray.flags.writeable
+    ray[0] = 1.0
+    assert rep.ray.tolist() == [0.6, 0.8]
     with pytest.raises(ValueError, match="unknown solver status"):
         SolverReport(1, np.zeros(2), 0.0, "converged")
     with pytest.raises(ValueError, match="ray"):

@@ -22,7 +22,11 @@ and diff what two checkouts print. The hashed families are:
 * ``sample`` - the features and labels ``simulate.sample`` draws for
   designs 1 and 2 at the fit seeds, and for a p = 2000 identity design
   with design 1's directions and 200 samples per class, as perfbench's
-  ``wide-io`` training set uses.
+  ``wide-io`` training set uses;
+* ``spectral`` - the comparators that read the scatter's spectrum:
+  ``pseudoinverse_lda_fit`` and, for each contrast on the supports
+  [0, 1, 2] and 0-9, ``oracle_restricted_fit`` at the fit seeds, plus
+  ``pseudoinverse_lda_fit`` on that p = 2000 design.
 
 Numbers are hashed as their float64 bytes, so any change in the last bit
 shows. Reports hash the iteration count, KKT residual, status and ray;
@@ -44,12 +48,13 @@ from pathlib import Path
 
 import numpy as np
 
-from glda import cli, model, select, simulate, solvers
+from glda import classify, cli, model, select, simulate, solvers
 
 FIT_SEEDS = (*range(20), *range(58, 64))
 STUDY_GRID = (2.5, 14, 0.8)
 CLI_SEEDS = (7, 41)
 WIDE_P = 2000
+ORACLE_SUPPORTS = ((0, 1, 2), tuple(range(10)))
 
 
 def _float_bytes(a):
@@ -105,16 +110,38 @@ def fit_digests(seeds=FIT_SEEDS):
     return {name: h[name].hexdigest() for name in h}, lines
 
 
+def _wide_spec():
+    # p = 2000, identity covariance, design 1's directions, 200 per class
+    B = np.zeros((WIDE_P, 2))
+    B[0:3] = simulate.sim1_spec(0).true_directions.matrix[0:3]
+    return simulate.spec_from_directions(np.eye(WIDE_P), B, (200, 200, 200), 0)
+
+
 def sample_digest(seeds=FIT_SEEDS):
     """Hash of the samples drawn for designs 1 and 2 at ``seeds`` and for one wide design."""
     specs = [make(seed) for make in (simulate.sim1_spec, simulate.sim2_spec) for seed in seeds]
-    B = np.zeros((WIDE_P, 2))
-    B[0:3] = simulate.sim1_spec(0).true_directions.matrix[0:3]
-    specs.append(simulate.spec_from_directions(np.eye(WIDE_P), B, (200, 200, 200), 0))
+    specs.append(_wide_spec())
     h = hashlib.sha256()
     for spec in specs:
         d = simulate.sample(spec)
         h.update(_float_bytes(d.features) + d.labels.astype(np.int64).tobytes() + b"|")
+    return h.hexdigest()
+
+
+def spectral_digest(seeds=FIT_SEEDS):
+    """Hash of the pseudo-inverse and support-oracle directions at ``seeds`` and on one wide design."""
+    h = hashlib.sha256()
+    for seed in seeds:
+        d = simulate.sample(simulate.sim1_spec(seed))
+        cs = model.summarize(d)
+        S = model.pooled_scatter(d, cs)
+        h.update(_float_bytes(classify.pseudoinverse_lda_fit(S, cs).matrix) + b"|")
+        for support in ORACLE_SUPPORTS:
+            for delta in cs.deltas:
+                h.update(_float_bytes(solvers.oracle_restricted_fit(S, delta, support)) + b"|")
+    d = simulate.sample(_wide_spec())
+    cs = model.summarize(d)
+    h.update(_float_bytes(classify.pseudoinverse_lda_fit(model.pooled_scatter(d, cs), cs).matrix))
     return h.hexdigest()
 
 
@@ -152,6 +179,7 @@ def cli_digest(seeds=CLI_SEEDS):
 def main():
     digests, counts = fit_digests()
     digests["sample"] = sample_digest()
+    digests["spectral"] = spectral_digest()
     digests["cli"] = cli_digest()
     for name, value in {**digests, **counts}.items():
         print(f"{name:<18} {value}")
