@@ -166,10 +166,7 @@ def sample(spec: SimulationSpec) -> Dataset:
 def covariance_summary(sigma) -> CovarianceSummary:
     A = np.asarray(sigma, dtype=float)
     d = np.diag(A)
-    if A.shape[0] > 1:
-        off = float(np.abs(A - np.diag(d)).max())
-    else:
-        off = 0.0
+    off = float(np.abs(A - np.diag(d)).max())
     return CovarianceSummary(plus_min=float(d.min()), plus_max=float(d.max()), minus_max=off)
 
 
@@ -190,9 +187,7 @@ def cone_condition_check(estimated: DirectionSet, truth: DirectionSet, T) -> boo
     if estimated.matrix.shape != truth.matrix.shape:
         raise ValueError("direction sets must have matching shapes")
     mask = np.zeros(estimated.p, dtype=bool)
-    idx = np.asarray(list(T), dtype=int)
-    if idx.size:
-        mask[idx] = True
+    mask[np.asarray(list(T), dtype=int)] = True
     off = float(np.linalg.norm(estimated.matrix[~mask], axis=1).sum())
     on = float(np.linalg.norm(estimated.matrix[mask] - truth.matrix[mask], axis=1).sum())
     return off <= 3.0 * on

@@ -63,10 +63,6 @@ _KKT_EXIT = 1e-6
 # each attempt that does not land doubles it.
 _NEWTON_STEADY = 3
 
-# A row whose norm is within this relative margin above its threshold is
-# snapped to zero, so penalties at exactly lambda_max produce exact zeros.
-_SNAP = 1.0 + 1e-12
-
 # A projected ray certifies an unbounded objective when its gain per unit
 # norm exceeds this fraction of ||G||, the largest gain any unit ray can have.
 _RAY_GAIN = 1e-9
@@ -143,8 +139,7 @@ def group_prox(x, lam):
     """argmin_v 0.5||v - x||^2 + lam ||v||, i.e. the group soft-threshold.
 
     Returns ((||x|| - lam)_+ / ||x||) * x, the zero vector whenever
-    ||x|| <= lam (including x = 0). This is the step the solvers take, so
-    a norm within a relative 1e-12 above lam is also snapped to zero.
+    ||x|| <= lam (including x = 0). This is the step the solvers take.
     """
     lam = float(lam)
     if not math.isfinite(lam):
@@ -183,12 +178,12 @@ def _grouped_kkt(S, X, G, lam, FX=None):
 
 
 def _prox_rows(Z, thr):
-    # group soft-threshold of each row at thr; rows with norm at most
-    # thr * _SNAP are zeroed. Returns the rows, the mask of those kept (the
+    # group soft-threshold of each row at thr: rows with norm above thr are
+    # kept and the rest zeroed. Returns the rows, the mask of those kept (the
     # support) and the rows' norms: a kept row's norm shrinks by thr, the
     # others are zero.
     nrm = _row_norms(Z)
-    keep = nrm > thr * _SNAP
+    keep = nrm > thr
     shrunk = (nrm - thr) * keep
     fac = np.divide(shrunk, nrm, out=np.zeros(nrm.shape), where=keep)
     return Z * fac[:, None], keep, shrunk

@@ -194,6 +194,30 @@ def test_path_reports_fit_statuses_on_stderr(tmp_path, capsys):
     assert all(np.isfinite(float(v)) for r in rows for v in r.split(","))
 
 
+@pytest.mark.parametrize(
+    "estimator, code, err",
+    [
+        ("grouped", 3, "error: grouped solver did not converge: unbounded"
+                       " (no finite minimiser at this lambda)\n"),
+        ("single", 3, "error: single-direction solver 1 did not converge: unbounded"
+                      " (no finite minimiser at this lambda)\n"),
+        ("lpd", 4, "error: LPD infeasible at this lambda\n"),
+    ],
+    ids=["grouped", "single", "lpd"],
+)
+def test_path_strict_stops_at_the_first_uncertified_point(tmp_path, capsys, estimator, code, err):
+    # design 1's default grid runs below the unbounded threshold, so a strict
+    # path fails there and writes nothing
+    data, out = tmp_path / "sim.csv", tmp_path / "path.csv"
+    assert main(["simulate", "sim1", "--seed", "7", "--out", str(data),
+                 "--truth-out", str(tmp_path / "truth.json")]) == 0
+    capsys.readouterr()
+    assert main(["path", str(data), "--estimator", estimator, "--strict", "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err and captured.out == ""
+    assert not out.exists()
+
+
 def test_fit_lpd_infeasible_exit4(tmp_path):
     rng = np.random.default_rng(1)
     X = rng.normal(size=(6, 8))

@@ -184,6 +184,8 @@ def test_covariance_summary_cases():
     assert (ident.plus_min, ident.plus_max, ident.minus_max) == (1.0, 1.0, 0.0)
     diag = covariance_summary(np.diag([2.0, 5.0]))
     assert (diag.plus_min, diag.plus_max, diag.minus_max) == (2.0, 5.0, 0.0)
+    one = covariance_summary([[3.0]])
+    assert (one.plus_min, one.plus_max, one.minus_max) == (3.0, 3.0, 0.0)
 
 
 def test_event_d_cases():
@@ -239,6 +241,9 @@ def test_cone_condition_cases():
     bad = B.copy()
     bad[5, 0] = 1.0  # unit mass off support, exact on support
     assert not cone_condition_check(DirectionSet(bad), truth, T)
+    # an empty T puts every row off the support, where only zeros pass
+    assert cone_condition_check(DirectionSet(np.zeros((6, 2))), truth, [])
+    assert not cone_condition_check(truth, truth, [])
 
 
 def test_delta_quadratic_cases():

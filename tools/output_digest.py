@@ -15,10 +15,12 @@ and diff what two checkouts print. The hashed families are:
   solution, or the ray of an ``LpInfeasibleError``, or the message of an
   ``LpNumericalError``;
 * ``cli`` - in-process ``glda`` runs at design-1 seeds 7 and 41:
-  ``simulate``, ``cv``, and ``path`` and ``fit`` with each estimator,
-  ``fit`` at lambda 0.5, 1.3 and the one ``cv`` chose. It covers every exit code,
-  stdout and stderr (the temporary directory masked) and every written
-  file;
+  ``simulate``, ``cv``, ``path`` with ``grouped``, ``single`` and ``lpd``,
+  ``fit`` with each of those at lambda 0.5, 1.3 and the one ``cv`` chose,
+  ``fit`` with ``pinv`` and ``nbayes``, ``predict`` with the grouped model
+  at the chosen lambda and with the ``nbayes`` model, and ``diagnose`` of
+  that grouped model. It covers every exit code, stdout and stderr (the
+  temporary directory masked) and every written file;
 * ``sample`` - the features and labels ``simulate.sample`` draws for
   designs 1 and 2 at the fit seeds, and for a p = 2000 identity design
   with design 1's directions and 200 samples per class, as perfbench's
@@ -171,6 +173,13 @@ def cli_digest(seeds=CLI_SEEDS):
                 for lam in lambdas:
                     _run(h, tmp, ["fit", data, "--estimator", est, "--lambda", lam,
                                   "--out", str(tmp / f"fit{seed}-{est}-{lam}.txt")])
+            for est in ("pinv", "nbayes"):
+                _run(h, tmp, ["fit", data, "--estimator", est, "--out", str(tmp / f"fit{seed}-{est}.txt")])
+            grouped = str(tmp / f"fit{seed}-grouped-{lambdas[-1]}.txt")
+            for name, model_file in (("grouped", grouped), ("nbayes", str(tmp / f"fit{seed}-nbayes.txt"))):
+                _run(h, tmp, ["predict", model_file, data, "--out", str(tmp / f"pred{seed}-{name}.csv")])
+            _run(h, tmp, ["diagnose", grouped, str(tmp / f"truth{seed}.json"), data,
+                          "--out", str(tmp / f"diag{seed}.json")])
         for path in sorted(tmp.iterdir()):
             h.update(path.name.encode() + b"\n" + path.read_bytes())
     return h.hexdigest()
