@@ -132,12 +132,15 @@ class NaiveBayesModel:
 
     def _scores(self, X):
         out = np.zeros((X.shape[0], self.n_classes))
+        diff = np.empty_like(X)  # one N x p buffer for every class
         for k in range(self.n_classes):
-            diff = X - self.means[k]
+            np.subtract(X, self.means[k], out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.divide(diff, self.variances[k], out=diff)
             out[:, k] = (
                 math.log(self.priors[k])
                 - 0.5 * np.sum(np.log(2.0 * np.pi * self.variances[k]))
-                - 0.5 * np.sum(diff * diff / self.variances[k], axis=1)
+                - 0.5 * np.sum(diff, axis=1)
             )
         return out
 

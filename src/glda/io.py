@@ -9,12 +9,21 @@ priors, means, directions or variances) - diffable and language-agnostic.
 
 All writers stream into a temp file that is renamed onto the target, so
 partial files never appear at the target path.
+
+Reading a dataset CSV keeps its parse in a sidecar ``.<name>.glda-cache``
+beside it, keyed by the SHA-256 of the CSV's bytes: the tag line
+``glda-csv-cache 1``, the 32-byte digest, ``L`` or ``U`` for a labelled
+or unlabelled file, then the parsed table as ``.npy``. A later read of the
+same bytes loads the table and skips the parse.
 """
 
 import contextlib
+import hashlib
 import itertools
 import json
 import os
+import stat
+from io import TextIOWrapper
 
 import numpy as np
 
@@ -44,14 +53,16 @@ def fmt(x: float) -> str:
 
 
 @contextlib.contextmanager
-def _atomic_open(path):
-    """A text handle on a temp file beside ``path``, renamed onto it on success."""
+def _atomic_open(path, binary=False, perm=0o666):
+    """A text (or binary) handle on a temp file beside ``path``, renamed onto it on success.
+
+    The file gets the mode bits ``perm`` less the umask, as open() does.
+    """
     d = os.path.dirname(os.path.abspath(path))
     while True:
         tmp = os.path.join(d, f".tmp-{os.urandom(4).hex()}")
         try:
-            # mode 0o666 lets the umask set the permissions, as open() does
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, perm)
             break
         except FileExistsError:
             continue
@@ -59,7 +70,7 @@ def _atomic_open(path):
             # name the target the caller gave, not the temp file
             raise FileNotFoundError(exc.errno, exc.strerror, path) from None
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
+        with os.fdopen(fd, "wb") if binary else os.fdopen(fd, "w", newline="\n") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -84,9 +95,40 @@ def write_dataset_csv(path, features, labels=None) -> None:
 
 
 def read_feature_csv(path):
-    """Read a dataset CSV; returns (features, labels-or-None)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = (ln for ln in fh if ln.strip())  # skip blank lines anywhere
+    """Read a dataset CSV; returns (features, labels-or-None).
+
+    A regular file's parse is loaded from, or kept in, its sidecar (see the
+    module docstring). The checks that follow the parse run either way.
+    """
+    with open(path, "rb") as fh:
+        before = os.fstat(fh.fileno())
+        digest = cached = None
+        if stat.S_ISREG(before.st_mode):  # hashing a pipe would consume it
+            h = hashlib.sha256()
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                h.update(block)
+            digest = h.digest()
+            cached = _read_sidecar(_sidecar_path(path), digest)
+            fh.seek(0)  # a miss parses the bytes just hashed
+        labeled, table = cached or _parse_csv(path, fh)
+    X, labels = table, None
+    if labeled:
+        labels, X = table[:, 0], table[:, 1:]
+        # a label is a whole number that fits an int (nan and inf fail both tests)
+        if not np.all((np.abs(labels) < 2.0**63) & (labels == np.floor(labels))):
+            raise FormatError(f"{path}: non-numeric value")
+        labels = labels.astype(int)
+    if not np.all(np.isfinite(X)):
+        raise FormatError(f"{path}: non-finite value")
+    if cached is None and digest is not None:
+        _write_sidecar(path, before, digest, labeled, table)
+    return X, labels
+
+
+def _parse_csv(path, fh):
+    """(labeled, table) from the text of the binary handle ``fh``, which it closes."""
+    with TextIOWrapper(fh, encoding="utf-8") as text:
+        lines = (ln for ln in text if ln.strip())  # skip blank lines anywhere
         first = next(lines, None)
         if first is None:
             raise FormatError(f"{path}: empty file")
@@ -106,19 +148,57 @@ def read_feature_csv(path):
                 yield ln
 
         try:
-            table = np.loadtxt(rows(), delimiter=",", comments=None, ndmin=2)
+            return labeled, np.loadtxt(rows(), delimiter=",", comments=None, ndmin=2)
         except ValueError:
             raise FormatError(f"{path}: non-numeric value") from None
-    labels = None
-    if labeled:
-        labels, table = table[:, 0], table[:, 1:]
-        # a label is a whole number that fits an int (nan and inf fail both tests)
-        if not np.all((np.abs(labels) < 2.0**63) & (labels == np.floor(labels))):
-            raise FormatError(f"{path}: non-numeric value")
-        labels = labels.astype(int)
-    if not np.all(np.isfinite(table)):
-        raise FormatError(f"{path}: non-finite value")
-    return table, labels
+
+
+_SIDECAR_TAG = b"glda-csv-cache 1\n"
+
+
+def _sidecar_path(path):
+    head, name = os.path.split(os.fspath(path))
+    return os.path.join(head, f".{name}.glda-cache")
+
+
+def _read_sidecar(path, digest):
+    """(labeled, table) kept for the CSV bytes ``digest`` names, or None.
+
+    A missing, unreadable, corrupt, truncated or foreign sidecar is a miss.
+    """
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(len(_SIDECAR_TAG) + len(digest) + 1)
+            if head[:-1] != _SIDECAR_TAG + digest or head[-1:] not in (b"L", b"U"):
+                return None
+            table = np.lib.format.read_array(fh, allow_pickle=False)
+    # a corrupt .npy header can declare a shape too large to allocate
+    except (OSError, ValueError, MemoryError):
+        return None
+    labeled = head[-1:] == b"L"
+    if table.dtype != np.float64 or table.ndim != 2 or table.shape[0] < 1 or table.shape[1] < 1 + labeled:
+        return None
+    return labeled, table
+
+
+def _write_sidecar(path, before, digest, labeled, table):
+    """Keep ``table`` for the CSV bytes ``digest`` names, unless the sidecar cannot be written.
+
+    ``before`` is the CSV's stat from before it was hashed; nothing is kept
+    if ``path`` no longer names that file unchanged. The sidecar holds the
+    CSV's data, so its mode bits are no wider than the CSV's.
+    """
+    def key(st):
+        return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+    try:
+        if key(os.stat(path)) != key(before):
+            return
+        with _atomic_open(_sidecar_path(path), binary=True, perm=before.st_mode & 0o666) as fh:
+            fh.write(_SIDECAR_TAG + digest + (b"L" if labeled else b"U"))
+            np.lib.format.write_array(fh, table, allow_pickle=False)
+    except OSError:
+        pass  # a read-only directory or a full disk leaves a plain parse
 
 
 def read_dataset_csv(path) -> Dataset:

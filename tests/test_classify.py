@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,25 @@ def test_naive_bayes_through_shared_scoring_path():
     assert np.array_equal(report.labels, labels)
     assert np.array_equal(report.scores, scores(m, X))
     assert report.error_rate == np.mean(labels != d.labels)
+
+
+def test_naive_bayes_scores_match_the_three_temporary_formula_bit_for_bit():
+    rng = np.random.default_rng(12)
+    means = rng.normal(size=(4, 9)) * 10.0 ** rng.integers(-3, 3, size=(4, 9))
+    variances = rng.uniform(1e-4, 1e3, size=(4, 9))
+    m = NaiveBayesModel(means=means, variances=variances, priors=np.array([0.1, 0.2, 0.3, 0.4]))
+    table = rng.normal(size=(57, 10)) * 100.0
+    # a C-ordered, a Fortran-ordered and a strided X (the CSV reader's table[:, 1:])
+    for X in (np.ascontiguousarray(table[:, 1:]), np.asfortranarray(table[:, 1:]), table[:, 1:]):
+        expected = np.zeros((X.shape[0], 4))
+        for k in range(4):
+            diff = X - means[k]
+            expected[:, k] = (
+                math.log(m.priors[k])
+                - 0.5 * np.sum(np.log(2.0 * np.pi * variances[k]))
+                - 0.5 * np.sum(diff * diff / variances[k], axis=1)
+            )
+        assert np.array_equal(m._scores(X), expected)
 
 
 def test_naive_bayes_model_checks_its_invariants():

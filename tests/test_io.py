@@ -1,6 +1,7 @@
 import os
 import re
 import stat
+import threading
 
 import numpy as np
 import pytest
@@ -111,6 +112,154 @@ def test_csv_malformed_inputs(tmp_path):
     bad.write_text("")
     with pytest.raises(io.FormatError, match="empty file"):
         io.read_feature_csv(bad)
+
+
+# --- the parse sidecar ----------------------------------------------------
+
+
+def _sidecar(csv):
+    return csv.parent / f".{csv.name}.glda-cache"
+
+
+def _bits(a):
+    return None if a is None else (a.dtype.str, a.shape, a.tobytes())
+
+
+@pytest.fixture
+def count_parses(monkeypatch):
+    """Counts np.loadtxt calls made by the CSV reader."""
+    calls, real = [], io.np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(io.np, "loadtxt", counted)
+    return calls
+
+
+@pytest.mark.parametrize("labeled", [True, False])
+def test_second_read_loads_the_sidecar_bit_identical_without_parsing(tmp_path, monkeypatch, labeled):
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(9, 4)) * 10.0 ** rng.integers(-300, 300, size=(9, 4))
+    X[0, 0], X[1, 1] = -0.0, 5e-324
+    path = tmp_path / "d.csv"
+    io.write_dataset_csv(path, X, rng.integers(1, 4, size=9) if labeled else None)
+    first = io.read_feature_csv(path)
+    assert _sidecar(path).is_file()
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("the CSV was parsed again")
+
+    monkeypatch.setattr(io.np, "loadtxt", no_parse)
+    second = io.read_feature_csv(path)
+    assert [_bits(a) for a in second] == [_bits(a) for a in first]
+    assert (second[1] is None) == (not labeled)
+
+
+def test_same_size_edit_with_mtime_put_back_is_parsed_again(tmp_path, count_parses):
+    path = tmp_path / "d.csv"
+    path.write_text("label,f1\n1,2.5\n2,3.5\n")
+    io.read_feature_csv(path)
+    st = path.stat()
+    path.write_text("label,f1\n1,2.5\n2,3.6\n")
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert path.stat().st_size == st.st_size and path.stat().st_mtime_ns == st.st_mtime_ns
+    X, _ = io.read_feature_csv(path)
+    assert X[:, 0].tolist() == [2.5, 3.6] and len(count_parses) == 2
+    io.read_feature_csv(path)
+    assert len(count_parses) == 2  # the edit's parse was kept
+
+
+@pytest.mark.parametrize("damage", ["truncated", "garbage", "foreign tag"])
+def test_damaged_sidecar_falls_back_to_a_parse_and_is_rewritten(tmp_path, count_parses, damage):
+    path = tmp_path / "d.csv"
+    io.write_dataset_csv(path, np.arange(12.0).reshape(4, 3) / 7.0, [1, 2, 3, 1])
+    expected = io.read_feature_csv(path)
+    good = _sidecar(path).read_bytes()
+    damaged = {
+        "truncated": good[: len(good) - 8],
+        "garbage": os.urandom(len(good)),
+        "foreign tag": good.replace(b"glda-csv-cache 1\n", b"glda-csv-cache 9\n", 1),
+    }[damage]
+    _sidecar(path).write_bytes(damaged)
+    got = io.read_feature_csv(path)
+    assert [_bits(a) for a in got] == [_bits(a) for a in expected]
+    assert len(count_parses) == 2
+    assert _sidecar(path).read_bytes() == good
+
+
+def test_malformed_csv_fails_alike_on_every_read_and_leaves_no_sidecar(tmp_path):
+    bad = tmp_path / "bad.csv"
+    for text in ("label,f1\n", "label,x1\n1,2.0\n", "label,f1\n1,2.0,3.0\n", "label,f1\n1,abc\n",
+                 "label,f1\n1.5,2.0\n", "label,f1\n1,nan\n", "f1,f2\n1.0,inf\n", ""):
+        bad.write_text(text)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(io.FormatError) as exc:
+                io.read_feature_csv(bad)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.csv"]
+
+
+def test_csv_changed_during_the_read_leaves_no_sidecar(tmp_path, monkeypatch):
+    path = tmp_path / "d.csv"
+    path.write_text("label,f1\n1,2.5\n2,3.5\n")
+    real = io.np.loadtxt
+
+    def parse_then_append(*args, **kwargs):
+        table = real(*args, **kwargs)
+        with open(path, "a") as fh:
+            fh.write("1,4.5\n")
+        return table
+
+    monkeypatch.setattr(io.np, "loadtxt", parse_then_append)
+    X, _ = io.read_feature_csv(path)
+    assert X[:, 0].tolist() == [2.5, 3.5]
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+
+
+def test_unwritable_sidecar_still_reads_and_leaves_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "d.csv"
+    io.write_dataset_csv(path, np.eye(3), [1, 2, 3])
+
+    def fail(*args, **kwargs):
+        raise OSError("read-only file system")
+
+    monkeypatch.setattr(io.os, "replace", fail)
+    X, labels = io.read_feature_csv(path)
+    assert np.array_equal(X, np.eye(3)) and labels.tolist() == [1, 2, 3]
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+
+
+def test_sidecar_mode_is_no_wider_than_the_csv(tmp_path):
+    path = tmp_path / "d.csv"
+    io.write_dataset_csv(path, np.eye(2), [1, 2])
+    path.chmod(0o600)
+    old = os.umask(0o022)
+    try:
+        io.read_feature_csv(path)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(_sidecar(path).stat().st_mode) & ~0o600 == 0
+
+
+def test_fifo_is_parsed_and_not_cached(tmp_path):
+    fifo = tmp_path / "d.csv"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "w") as fh:
+            fh.write("label,f1,f2\n1,0.5,-2\n2,3,4e-3\n")
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    X, labels = io.read_feature_csv(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert X.tolist() == [[0.5, -2.0], [3.0, 4e-3]] and labels.tolist() == [1, 2]
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
 
 
 def test_lda_model_file_round_trip(tmp_path):
