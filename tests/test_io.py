@@ -2,6 +2,8 @@ import os
 import re
 import stat
 import threading
+import time
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -113,6 +115,151 @@ def test_csv_malformed_inputs(tmp_path):
     with pytest.raises(io.FormatError, match="empty file"):
         io.read_feature_csv(bad)
 
+
+
+@pytest.mark.parametrize("features, labels, match", [
+    ([[np.nan, 1.0]], [1], "finite"),
+    ([[1.0, -np.inf]], None, "finite"),
+    ([[1.0], [2.0]], [1.5, 2], "whole numbers"),
+    ([[1.0], [2.0]], [1, np.nan], "whole numbers"),
+    ([[1.0], [2.0]], [1], "one label per row"),
+    ([[1.0], [2.0]], [1, 2, 3], "one label per row"),
+])
+def test_csv_writer_rejects_bad_input_before_making_a_file(tmp_path, features, labels, match):
+    with pytest.raises(ValueError, match=match):
+        io.write_dataset_csv(tmp_path / "d.csv", features, labels)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_csv_labels_are_written_from_their_integers(tmp_path):
+    path = tmp_path / "d.csv"
+    io.write_dataset_csv(path, [[1.0], [2.0]], np.array([2**53 + 1, 2]))
+    assert path.read_text() == "label,f1\n9007199254740993,1\n2,2\n"
+    io.write_dataset_csv(path, [[1.0], [2.0]], [1.0, 2.0])
+    assert path.read_text() == "label,f1\n1,1\n2,2\n"
+
+
+# --- writing a large table on several processes ---------------------------
+
+
+def _large_table(rows, cols):
+    """Features that exercise every %.17g form, spread over the whole table."""
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-300, 300, size=(rows, cols))
+    special = [-0.0, 1e-300, 5e-324, 1e300, -1e300, 0.1, 1 / 3, 2 / 3 * 1e-7]
+    for r in (0, rows // 2, rows - 1):
+        X[r, :len(special)] = special
+    return X, rng.integers(1, 4, size=rows)
+
+
+def _savetxt_bytes(X, labels):
+    names, formats = [f"f{j + 1}" for j in range(X.shape[1])], ["%.17g"] * X.shape[1]
+    if labels is not None:
+        X, names, formats = np.column_stack((labels, X)), ["label", *names], ["%d", *formats]
+    out = StringIO()
+    np.savetxt(out, X, fmt=formats, delimiter=",", header=",".join(names), comments="")
+    return out.getvalue().encode()
+
+
+@pytest.fixture
+def count_forks(monkeypatch):
+    """Counts os.fork calls; the forks still happen."""
+    calls, real = [], os.fork
+
+    def counted():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(io.os, "fork", counted)
+    return calls
+
+
+@pytest.mark.parametrize("labeled", [True, False])
+@pytest.mark.parametrize("cpus, other_thread, forks", [(3, False, 2), (1, False, 0), (3, True, 0)])
+def test_large_csv_is_byte_identical_to_savetxt_on_any_writer_count(
+        tmp_path, monkeypatch, count_forks, labeled, cpus, other_thread, forks):
+    monkeypatch.setattr(io.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    X, y = _large_table(3 * io._WRITER_MIN_VALUES // 500 + 7, 500)
+    labels = y if labeled else None
+    path = tmp_path / "d.csv"
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, daemon=True)
+    if other_thread:  # a fork with other threads running is not safe, so none is made
+        thread.start()
+    try:
+        io.write_dataset_csv(path, X, labels)
+    finally:
+        stop.set()
+        if other_thread:
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert len(count_forks) == forks
+    assert path.read_bytes() == _savetxt_bytes(X, labels)
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+
+def test_failed_fork_leaves_its_rows_to_the_writing_process(tmp_path, monkeypatch):
+    monkeypatch.setattr(io.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    calls, real = [], os.fork
+
+    def second_fails():
+        calls.append(1)
+        if len(calls) == 2:
+            raise BlockingIOError("no process to be had")
+        return real()
+
+    monkeypatch.setattr(io.os, "fork", second_fails)
+    X, y = _large_table(3 * io._WRITER_MIN_VALUES // 500 + 7, 500)
+    path = tmp_path / "d.csv"
+    io.write_dataset_csv(path, X, y)
+    assert len(calls) == 2
+    assert path.read_bytes() == _savetxt_bytes(X, y)
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+def _two_writer_table(tmp_path, monkeypatch):
+    monkeypatch.setattr(io.os, "sched_getaffinity", lambda pid: {0, 1})
+    path = tmp_path / "d.csv"
+    path.write_text("old\n")
+    return path, np.ones((2 * io._WRITER_MIN_VALUES // 100, 100))
+
+
+def _in_child_and_parent(monkeypatch, child, parent):
+    """Makes the row formatter call ``child`` in a forked writer and ``parent`` here."""
+    here = os.getpid()
+    monkeypatch.setattr(io, "_format_rows", lambda *a: child() if os.getpid() != here else parent())
+
+
+def _raise(exc):
+    raise exc
+
+
+def test_failing_writer_process_raises_and_leaves_nothing(tmp_path, monkeypatch):
+    path, X = _two_writer_table(tmp_path, monkeypatch)
+    _in_child_and_parent(monkeypatch, lambda: _raise(RuntimeError("boom")), lambda: None)
+    with pytest.raises(OSError, match="writer process failed"):
+        io.write_dataset_csv(path, X, np.ones(len(X), dtype=int))
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_interrupted_write_kills_and_reaps_its_writers(tmp_path, monkeypatch):
+    path, X = _two_writer_table(tmp_path, monkeypatch)
+    _in_child_and_parent(monkeypatch, lambda: time.sleep(60), lambda: _raise(KeyboardInterrupt()))
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        io.write_dataset_csv(path, X)
+    assert time.monotonic() - t0 < 30  # the sleeping writer was killed, not waited out
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 # --- the parse sidecar ----------------------------------------------------
 

@@ -29,7 +29,12 @@ and diff what two checkouts print. The hashed families are:
 * ``spectral`` - the comparators that read the scatter's spectrum:
   ``pseudoinverse_lda_fit`` and, for each contrast on the supports
   [0, 1, 2] and 0-9, ``oracle_restricted_fit`` at the fit seeds, plus
-  ``pseudoinverse_lda_fit`` on that p = 2000 design.
+  ``pseudoinverse_lda_fit`` on that p = 2000 design;
+* ``csv`` - the bytes ``write_dataset_csv`` writes for that p = 2000
+  sample, labelled and unlabelled, and for the design-1 sample at seed 7.
+  The wide tables are large enough to be formatted by forked writers on a
+  machine with more than one usable CPU, and the design-1 table is small
+  enough to be formatted in process, so the hash covers both paths.
 
 Numbers are hashed as their float64 bytes, so any change in the last bit
 shows. Reports hash the iteration count, KKT residual, status and ray;
@@ -52,6 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from glda import classify, cli, model, select, simulate, solvers
+from glda.io import write_dataset_csv
 
 FIT_SEEDS = (*range(20), *range(58, 64))
 STUDY_GRID = (2.5, 14, 0.8)
@@ -148,6 +154,18 @@ def spectral_digest(seeds=FIT_SEEDS):
     return h.hexdigest()
 
 
+def csv_digest():
+    """Hash of the dataset CSVs written for the wide sample (labelled and not) and one design-1 sample."""
+    wide, sim1 = simulate.sample(_wide_spec()), simulate.sample(simulate.sim1_spec(CLI_SEEDS[0]))
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as name:
+        path = Path(name) / "d.csv"
+        for features, labels in ((wide.features, wide.labels), (wide.features, None), (sim1.features, sim1.labels)):
+            write_dataset_csv(path, features, labels)
+            h.update(path.read_bytes() + b"|")
+    return h.hexdigest()
+
+
 def _run(h, tmp, argv):
     # hashes the command, its exit code and both streams; returns stdout
     out, err = io.StringIO(), io.StringIO()
@@ -191,6 +209,7 @@ def main():
     digests, counts = fit_digests()
     digests["sample"] = sample_digest()
     digests["spectral"] = spectral_digest()
+    digests["csv"] = csv_digest()
     digests["cli"] = cli_digest()
     for name, value in {**digests, **counts}.items():
         print(f"{name:<18} {value}")
