@@ -132,11 +132,8 @@ def cmd_cv(args):
     data = io.read_dataset_csv(args.data)
     grid = _grid_for(args, summarize(data).deltas)
     result = kfold_cv(data, grid, folds=args.folds, seed=args.seed)
-    lines = ["lambda,mean_error,sd_error"]
-    for lam, me, sd in zip(result.lambdas, result.mean_errors, result.sd_errors):
-        lines.append(f"{io.fmt(lam)},{io.fmt(me)},{io.fmt(sd)}")
-    lines.append(f"# chosen_lambda,{io.fmt(result.chosen_lambda)}")
-    io.atomic_write_text(args.out, "\n".join(lines) + "\n")
+    table = io.format_table(np.column_stack((result.lambdas, result.mean_errors, result.sd_errors)))
+    io.atomic_write_text(args.out, f"lambda,mean_error,sd_error\n{table}# chosen_lambda,{io.fmt(result.chosen_lambda)}\n")
     print(f"chosen_lambda {io.fmt(result.chosen_lambda)}")
     print(f"written {args.out}")
     return EXIT_OK
@@ -161,20 +158,21 @@ def cmd_path(args):
     cs = summarize(data)
     S = pooled_scatter(data, cs)
     grid = _grid_for(args, cs.deltas)
-    lines = ["lambda,direction,feature,coefficient,group_norm"]
-    statuses = []
+    rows, statuses = [], []
     for lam in grid.values:
         ds, reports = fit_directions(args.estimator, S, cs.deltas, float(lam))
         _check_converged(args.estimator, reports, args.strict)
         statuses += [rep.status for rep in reports] or ["optimal"] * ds.n_directions
-        norms = group_norms(ds)
-        for k in range(ds.n_directions):
-            col = ds.column(k)
-            for j in range(ds.p):
-                lines.append(
-                    f"{io.fmt(lam)},{k + 1},{j + 1},{io.fmt(col[j])},{io.fmt(norms[j])}"
-                )
-    io.atomic_write_text(args.out, "\n".join(lines) + "\n")
+        # one row per (direction, feature): lambda, direction, feature, coefficient, group norm
+        block = np.empty((ds.n_directions, ds.p, 5))
+        block[..., 0] = lam
+        block[..., 1] = np.arange(1, ds.n_directions + 1)[:, None]
+        block[..., 2] = np.arange(1, ds.p + 1)
+        block[..., 3] = ds.matrix.T
+        block[..., 4] = group_norms(ds)
+        rows.append(block.reshape(-1, 5))
+    table = io.format_table(np.concatenate(rows))
+    io.atomic_write_text(args.out, f"lambda,direction,feature,coefficient,group_norm\n{table}")
     print(
         f"path: {len(statuses)} fits, {statuses.count('max_iter')} max_iter,"
         f" {statuses.count('unbounded')} unbounded",

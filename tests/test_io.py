@@ -1,12 +1,15 @@
 import os
 import re
+import signal
 import stat
 import threading
 import time
-from io import StringIO
+from io import BytesIO, StringIO
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glda import io
 from glda.classify import ClassifierModel, NaiveBayesModel
@@ -68,13 +71,13 @@ def test_csv_write_failure_keeps_old_target(tmp_path, monkeypatch):
     real_fdopen = io.os.fdopen
 
     class FailingFile:
-        """Passes the header and the first row through, then fails."""
+        """Passes the header through, then fails on the rows."""
 
         def __init__(self, fh):
             self.fh, self.writes = fh, 0
 
         def write(self, text):
-            if self.writes == 2:
+            if self.writes == 1:
                 raise OSError("disk full")
             self.writes += 1
             return self.fh.write(text)
@@ -175,7 +178,7 @@ def count_forks(monkeypatch):
 
 
 @pytest.mark.parametrize("labeled", [True, False])
-@pytest.mark.parametrize("cpus, other_thread, forks", [(3, False, 2), (1, False, 0), (3, True, 0)])
+@pytest.mark.parametrize("cpus, other_thread, forks", [(3, False, 3), (1, False, 0), (3, True, 0)])
 def test_large_csv_is_byte_identical_to_savetxt_on_any_writer_count(
         tmp_path, monkeypatch, count_forks, labeled, cpus, other_thread, forks):
     monkeypatch.setattr(io.os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -211,15 +214,25 @@ def test_failed_fork_leaves_its_rows_to_the_writing_process(tmp_path, monkeypatc
             raise BlockingIOError("no process to be had")
         return real()
 
+    here, formatted, format_rows = os.getpid(), [], io._format_rows
+
+    def recorded(fh, X, labels=None, lo=0, hi=None, sep=","):
+        if os.getpid() == here:
+            formatted.append((lo, hi))
+        format_rows(fh, X, labels, lo, hi, sep)
+
     monkeypatch.setattr(io.os, "fork", second_fails)
+    monkeypatch.setattr(io, "_format_rows", recorded)
     X, y = _large_table(3 * io._WRITER_MIN_VALUES // 500 + 7, 500)
     path = tmp_path / "d.csv"
     io.write_dataset_csv(path, X, y)
     assert len(calls) == 2
+    assert formatted == [(len(X) // 3, len(X))]  # the first range went to the one child made
     assert path.read_bytes() == _savetxt_bytes(X, y)
     assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
 
 def _two_writer_table(tmp_path, monkeypatch):
     monkeypatch.setattr(io.os, "sched_getaffinity", lambda pid: {0, 1})
@@ -228,10 +241,16 @@ def _two_writer_table(tmp_path, monkeypatch):
     return path, np.ones((2 * io._WRITER_MIN_VALUES // 100, 100))
 
 
-def _in_child_and_parent(monkeypatch, child, parent):
-    """Makes the row formatter call ``child`` in a forked writer and ``parent`` here."""
+def _in_writers(monkeypatch, child):
+    """Makes the row formatter call ``child`` in a forked writer; the writing process must not format."""
     here = os.getpid()
-    monkeypatch.setattr(io, "_format_rows", lambda *a: child() if os.getpid() != here else parent())
+
+    def format_rows(*args):
+        if os.getpid() == here:
+            raise AssertionError("the writing process formatted rows of a split table")
+        child()
+
+    monkeypatch.setattr(io, "_format_rows", format_rows)
 
 
 def _raise(exc):
@@ -240,7 +259,7 @@ def _raise(exc):
 
 def test_failing_writer_process_raises_and_leaves_nothing(tmp_path, monkeypatch):
     path, X = _two_writer_table(tmp_path, monkeypatch)
-    _in_child_and_parent(monkeypatch, lambda: _raise(RuntimeError("boom")), lambda: None)
+    _in_writers(monkeypatch, lambda: _raise(RuntimeError("boom")))
     with pytest.raises(OSError, match="writer process failed"):
         io.write_dataset_csv(path, X, np.ones(len(X), dtype=int))
     assert path.read_text() == "old\n"
@@ -251,15 +270,91 @@ def test_failing_writer_process_raises_and_leaves_nothing(tmp_path, monkeypatch)
 
 def test_interrupted_write_kills_and_reaps_its_writers(tmp_path, monkeypatch):
     path, X = _two_writer_table(tmp_path, monkeypatch)
-    _in_child_and_parent(monkeypatch, lambda: time.sleep(60), lambda: _raise(KeyboardInterrupt()))
+    _in_writers(monkeypatch, lambda: time.sleep(60))
+    # the writing process is interrupted while it waits for its writers
+    # (forked children do not inherit the interval timer)
+    old = signal.signal(signal.SIGALRM, lambda signum, frame: _raise(KeyboardInterrupt()))
     t0 = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        io.write_dataset_csv(path, X)
-    assert time.monotonic() - t0 < 30  # the sleeping writer was killed, not waited out
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(KeyboardInterrupt):
+            io.write_dataset_csv(path, X)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert time.monotonic() - t0 < 30  # the sleeping writers were killed, not waited out
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# --- the %.17g kernel ---------------------------------------------------------
+
+
+def _kernel_text(values, sep=","):
+    out = BytesIO()
+    io._format_rows(out, np.asarray(values, dtype=float).reshape(1, -1), sep=sep)
+    return out.getvalue().decode()
+
+
+def _percent_text(values, sep=","):
+    return sep.join("%.17g" % v for v in values) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.floats(-1e17, 1e17), st.floats(-1e-3, 1e-3)), min_size=1, max_size=40))
+def test_kernel_writes_what_percent_writes(values):
+    assert _kernel_text(values) == _percent_text(values)
+
+
+def _boundary_values():
+    """Floats where %.17g changes layout or rounds a tie, with both signs."""
+    near = [(np.array([10.0**k, float(f"1e{k}")]).view(np.int64)[:, None] + np.arange(-40, 41)).view(np.float64)
+            for k in range(-20, 23)]  # the nextafter neighbourhood of each power of ten
+    halfway = (4e15 + 2 * np.arange(500) + 1) / 4  # 18 significant digits ending in 5: a tie at 17
+    dyadic = np.ldexp(np.arange(2**52, 2**52 + 2000, 3, dtype=float), -3)
+    edges = [9.9999999999999995e-07, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+             1.7976931348623157e308, 0.0, np.inf, np.nan]
+    x = np.concatenate([*(a.ravel() for a in near), halfway, dyadic, edges])
+    return np.concatenate([x, -x])
+
+
+def test_kernel_on_boundary_values_and_wide_samples():
+    assert all(("%.18g" % v).endswith("5") for v in (4e15 + 2 * np.arange(500) + 1) / 4)
+    rng = np.random.default_rng(11)
+    with np.errstate(invalid="ignore"):
+        bits = rng.integers(0, 2**64, size=20000, dtype=np.uint64).view(np.float64)
+    samples = [_boundary_values(), rng.normal(size=20000), bits,
+               rng.choice([-1, 1], 20000) * 10.0 ** rng.uniform(-8, 18, 20000)]
+    for x in samples:
+        assert _kernel_text(x) == _percent_text(x)
+        assert _kernel_text(x, sep=" ") == _percent_text(x, sep=" ")
+    assert _kernel_text([1e-6, 1e-5, -0.0, 0.0, 1e16, 100.0]) == "9.9999999999999995e-07,1.0000000000000001e-05,-0,0,10000000000000000,100\n"
+
+
+def test_wide_model_file_bytes_and_one_kernel_call_per_section(tmp_path, monkeypatch):
+    rng = np.random.default_rng(12)
+    B = rng.normal(size=(2000, 2)) * (rng.random((2000, 1)) < 0.3)  # mostly zero rows, as a sparse fit gives
+    model = ClassifierModel(directions=DirectionSet(B), means=rng.normal(size=(3, 2000)),
+                            priors=np.array([0.2, 0.3, 0.5]))
+    calls, rows_text = [], io._rows_text
+    monkeypatch.setattr(io, "_rows_text", lambda *a: calls.append(1) or rows_text(*a))
+    path = tmp_path / "m.txt"
+    io.write_model_file(path, model, "grouped")
+    blocks = [("priors", model.priors[None, :]), ("means", model.means), ("directions", model.directions.matrix)]
+    expected = "glda-model 1\nkind lda K 3 p 2000 estimator grouped\n" + "".join(
+        tag + "\n" + "".join(_percent_text(row, sep=" ") for row in block.tolist()) for tag, block in blocks)
+    assert path.read_bytes() == expected.encode()
+    assert len(calls) == 3
+
+
+def test_format_table_matches_per_value_formatting():
+    table = np.array([[0.5, 1, 2000, -0.0, np.nan], [1e-7, 2, 1, 3.25e20, np.inf]])
+    expected = "".join(",".join(io.fmt(v) for v in row) + "\n" for row in table)
+    assert io.format_table(table) == expected
+    assert io.format_table(np.empty((0, 5))) == ""
+
 
 # --- the parse sidecar ----------------------------------------------------
 

@@ -31,10 +31,15 @@ and diff what two checkouts print. The hashed families are:
   [0, 1, 2] and 0-9, ``oracle_restricted_fit`` at the fit seeds, plus
   ``pseudoinverse_lda_fit`` on that p = 2000 design;
 * ``csv`` - the bytes ``write_dataset_csv`` writes for that p = 2000
-  sample, labelled and unlabelled, and for the design-1 sample at seed 7.
-  The wide tables are large enough to be formatted by forked writers on a
-  machine with more than one usable CPU, and the design-1 table is small
-  enough to be formatted in process, so the hash covers both paths.
+  sample, labelled and unlabelled, for the design-1 sample at seed 7, and
+  for a 600 x 1000 table of values at the edges of ``%.17g`` formatting,
+  labelled and unlabelled: the 40 floats on each side of every power of
+  ten from 1e-12 to 1e19, values that lie half-way between two 17-digit
+  decimals, 9.9999999999999995e-07 (the double nearest 1e-6), subnormals,
+  zeros and the largest float, each with both signs. The wide tables are
+  large enough to be formatted by forked writers on a machine with more
+  than one usable CPU, and the design-1 table is small enough to be
+  formatted in process, so the hash covers both paths.
 
 Numbers are hashed as their float64 bytes, so any change in the last bit
 shows. Reports hash the iteration count, KKT residual, status and ray;
@@ -154,13 +159,27 @@ def spectral_digest(seeds=FIT_SEEDS):
     return h.hexdigest()
 
 
+def boundary_values():
+    """Floats at the edges of %.17g formatting, each with both signs (see the module docstring)."""
+    near = [(np.array([10.0**k, float(f"1e{k}")]).view(np.int64)[:, None] + np.arange(-40, 41)).view(np.float64)
+            for k in range(-12, 20)]
+    halfway = (4e15 + 2 * np.arange(0, 2000, 7) + 1) / 4  # 18 significant digits, the last a 5
+    edges = [9.9999999999999995e-07, 1e-6, 1e-5, 1e-4, 1e16, 1e17, 99999999999999984.0, 5e-324,
+             2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308, 0.0]
+    x = np.concatenate([*(a.ravel() for a in near), halfway, edges])
+    return np.concatenate([x, -x])
+
+
 def csv_digest():
-    """Hash of the dataset CSVs written for the wide sample (labelled and not) and one design-1 sample."""
+    """Hash of the dataset CSVs written for the wide sample, a design-1 sample and the boundary table."""
     wide, sim1 = simulate.sample(_wide_spec()), simulate.sample(simulate.sim1_spec(CLI_SEEDS[0]))
+    edges = np.resize(boundary_values(), (600, 1000))
+    edge_labels = np.arange(600) % 3 + 1
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as name:
         path = Path(name) / "d.csv"
-        for features, labels in ((wide.features, wide.labels), (wide.features, None), (sim1.features, sim1.labels)):
+        for features, labels in ((wide.features, wide.labels), (wide.features, None), (sim1.features, sim1.labels),
+                                 (edges, edge_labels), (edges, None)):
             write_dataset_csv(path, features, labels)
             h.update(path.read_bytes() + b"|")
     return h.hexdigest()
