@@ -8,10 +8,14 @@ write/read round trip is bit-exact. One row formatter writes every table
 kernel writes the bytes of ``%.17g`` for zeros and for 1e-6 <= |x| < 1e17,
 where the 17-digit mantissa is an exact product of x and a power of ten,
 and Python's ``%`` formats every other value (non-finite ones included)
-and every label. A large dataset table is split into one contiguous range
-of rows per usable CPU (POSIX fork): a child formats each range into an
-unlinked temp file, and the writing process only appends the parts in
-order. The bytes are the same, and no file or process is left behind.
+and every label. With two usable CPUs or more, a large dataset table is
+split in half at a row: a helper thread formats the second half into an
+unlinked temp file while the writing thread formats the first and then
+appends the helper's part. Threads share the GIL, so there are never more
+than two writers, and nothing depends on ``fork``. An error or interrupt
+in the writing thread waits for the helper to format its half, then
+propagates; an error in the helper is raised in the writing thread. The
+bytes are the same, and no file or thread is left behind.
 
 Model files are line-oriented text with named sections (dimensions,
 priors, means, directions or variances) - diffable and language-agnostic.
@@ -32,7 +36,6 @@ import itertools
 import json
 import os
 import shutil
-import signal
 import stat
 import tempfile
 import threading
@@ -151,12 +154,20 @@ _POINT = 18
 # one call.
 _BLOCK_VALUES = 6144
 
+# A split table is formatted in blocks of this many values, so that each
+# numpy call runs long enough to release the GIL to the other writer:
+# perfbench's wide-io set-up (write_wide) took 1.33 s per process at this
+# size against 1.57 s at _BLOCK_VALUES (medians of 8 alternated processes,
+# 2 cores, one BLAS thread). A block holds about 8 MB of temporaries, so
+# tables that are not split keep _BLOCK_VALUES.
+_SPLIT_BLOCK_VALUES = 32768
+
 # The kernel formats a value in about 0.175 us, against about 0.45 us for
-# "%" (measured on 600 x 2000 tables of normal data, 2 cores). A large
-# table is split across forked writers, one per usable CPU, and each writer
-# gets at least this many values, about 35 ms of formatting: some ten times
-# what a fork, its temp file and reaping the child cost (3.3-3.6 ms,
-# measured with 0-150 MB resident on 2 cores).
+# "%" (measured on 600 x 2000 tables of normal data, 2 cores). A table of
+# at least twice this many values is split between the writing thread and
+# one helper thread, so each gets at least about 35 ms of formatting, where
+# starting the helper and its temp file costs about 0.12 ms. Threads share
+# the GIL, so there is one helper whatever the CPU count.
 _WRITER_MIN_VALUES = 200_000
 
 
@@ -295,10 +306,10 @@ def _rows_text(X, sep, labels=None):
     return buf[_RUNS[start, end]]
 
 
-def _format_rows(fh, X, labels=None, lo=0, hi=None, sep=","):
-    """Write rows ``lo:hi`` of ``X`` to the binary handle ``fh`` (see _rows_text)."""
+def _format_rows(fh, X, labels=None, lo=0, hi=None, sep=",", block=_BLOCK_VALUES):
+    """Write rows ``lo:hi`` of ``X`` to the binary handle ``fh``, ``block`` values a call (see _rows_text)."""
     hi = len(X) if hi is None else hi
-    step = max(1, _BLOCK_VALUES // (X.shape[1] + (labels is not None)))
+    step = max(1, block // (X.shape[1] + (labels is not None)))
     for start in range(lo, hi, step):
         stop = min(start + step, hi)
         fh.write(_rows_text(X[start:stop], sep, None if labels is None else labels[start:stop]))
@@ -311,70 +322,38 @@ def format_table(table) -> str:
     return out.getvalue().decode("ascii")
 
 
-def _writer_count(n_rows, n_values):
-    """How many processes should format a table: 1 unless forking can pay."""
-    # forking a process with other threads running can deadlock the child
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(cpus, n_rows, n_values // _WRITER_MIN_VALUES))
-
-
 def _write_table(fh, X, labels, tmpdir):
-    """Format the rows of ``X`` into the binary handle ``fh``, on several processes if it pays.
+    """Format the rows of ``X`` into the binary handle ``fh``, on two threads if it pays.
 
-    The rows are split into contiguous ranges, and a forked child formats
-    each range into an unlinked temp file in ``tmpdir``; this process only
-    appends the parts in order. If a fork fails, this process formats the
-    ranges left over. A failed child raises OSError; on any error the
-    children still running are killed, and every child is reaped before
-    this returns.
+    A split table's second half goes to a helper thread, which formats it
+    into an unlinked temp file in ``tmpdir``; this thread formats the first
+    half into ``fh`` and then appends the helper's part. The helper is
+    joined before this returns or raises, and an exception it raised is
+    raised here.
     """
-    n = X.shape[0]
-    writers = _writer_count(n, X.size)
-    if writers == 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if X.size < 2 * _WRITER_MIN_VALUES or cpus < 2:
         _format_rows(fh, X, labels)
         return
-    bounds = [n * w // writers for w in range(writers + 1)]
-    parts, pids = [], []
-    try:
-        for lo, hi in zip(bounds, bounds[1:]):
-            part = tempfile.TemporaryFile(dir=tmpdir, buffering=0)
+    mid, failed = X.shape[0] // 2, []
+    with tempfile.TemporaryFile(dir=tmpdir, buffering=0) as part:
+
+        def helper():
             try:
-                pids.append(_fork_writer(part, X, labels, lo, hi))
-            except OSError:  # no process to be had: format the rest here
-                part.close()
-                break
-            parts.append(part)
-        for part in parts:
-            status = os.waitpid(pids[0], 0)[1]
-            del pids[0]
-            if status:
-                raise OSError(f"a CSV writer process failed (exit code {os.waitstatus_to_exitcode(status)})")
-            part.seek(0)
-            shutil.copyfileobj(part, fh, 1 << 20)
-        _format_rows(fh, X, labels, bounds[len(parts)], n)
-    finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        for pid in pids:
-            os.waitpid(pid, 0)
-        for part in parts:
-            part.close()
+                _format_rows(part, X, labels, mid, block=_SPLIT_BLOCK_VALUES)
+            except BaseException as exc:  # raised in the writing thread below
+                failed.append(exc)
 
-
-def _fork_writer(part, X, labels, lo, hi):
-    """Fork a child that formats rows ``lo:hi`` into the file ``part``; returns its pid."""
-    pid = os.fork()
-    if pid:
-        return pid
-    code = 1
-    try:
-        with open(part.fileno(), "wb", closefd=False) as out:
-            _format_rows(out, X, labels, lo, hi)
-        code = 0
-    finally:
-        os._exit(code)  # never return into the parent's stack
+        thread = threading.Thread(target=helper, name="glda-csv-writer")
+        thread.start()
+        try:
+            _format_rows(fh, X, labels, 0, mid, block=_SPLIT_BLOCK_VALUES)
+        finally:
+            thread.join()  # bounded: the helper only formats its half in memory
+        if failed:
+            raise failed[0]
+        part.seek(0)
+        shutil.copyfileobj(part, fh, 1 << 20)
 
 
 def read_feature_csv(path):

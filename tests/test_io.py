@@ -1,6 +1,5 @@
 import os
 import re
-import signal
 import stat
 import threading
 import time
@@ -142,7 +141,7 @@ def test_csv_labels_are_written_from_their_integers(tmp_path):
     assert path.read_text() == "label,f1\n1,1\n2,2\n"
 
 
-# --- writing a large table on several processes ---------------------------
+# --- writing a large table on two threads ----------------------------------
 
 
 def _large_table(rows, cols):
@@ -165,73 +164,44 @@ def _savetxt_bytes(X, labels):
 
 
 @pytest.fixture
-def count_forks(monkeypatch):
-    """Counts os.fork calls; the forks still happen."""
-    calls, real = [], os.fork
+def formatted(monkeypatch):
+    """Records each _format_rows call as (on a helper thread, lo, hi, block); the rows are still written."""
+    calls, real, here = [], io._format_rows, threading.get_ident()
 
-    def counted():
-        calls.append(1)
-        return real()
+    def recorded(fh, X, labels=None, lo=0, hi=None, sep=",", block=io._BLOCK_VALUES):
+        calls.append((threading.get_ident() != here, lo, hi, block))
+        real(fh, X, labels, lo, hi, sep, block)
 
-    monkeypatch.setattr(io.os, "fork", counted)
+    monkeypatch.setattr(io, "_format_rows", recorded)
     return calls
 
 
 @pytest.mark.parametrize("labeled", [True, False])
-@pytest.mark.parametrize("cpus, other_thread, forks", [(3, False, 3), (1, False, 0), (3, True, 0)])
+@pytest.mark.parametrize("cpus, other_thread, helpers", [(3, False, 1), (1, False, 0), (3, True, 1)])
 def test_large_csv_is_byte_identical_to_savetxt_on_any_writer_count(
-        tmp_path, monkeypatch, count_forks, labeled, cpus, other_thread, forks):
+        tmp_path, monkeypatch, formatted, labeled, cpus, other_thread, helpers):
     monkeypatch.setattr(io.os, "sched_getaffinity", lambda pid: set(range(cpus)))
     X, y = _large_table(3 * io._WRITER_MIN_VALUES // 500 + 7, 500)
     labels = y if labeled else None
     path = tmp_path / "d.csv"
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait, daemon=True)
-    if other_thread:  # a fork with other threads running is not safe, so none is made
+    if other_thread:  # another thread running does not stop the split
         thread.start()
     try:
+        threads = threading.active_count()
         io.write_dataset_csv(path, X, labels)
+        assert threading.active_count() == threads
     finally:
         stop.set()
         if other_thread:
             thread.join(timeout=10)
     assert not thread.is_alive()
-    assert len(count_forks) == forks
+    mid = len(X) // 2
+    assert sorted(formatted) == ([(False, 0, mid, io._SPLIT_BLOCK_VALUES), (True, mid, None, io._SPLIT_BLOCK_VALUES)]
+                                 if helpers else [(False, 0, None, io._BLOCK_VALUES)])
     assert path.read_bytes() == _savetxt_bytes(X, labels)
     assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-
-def test_failed_fork_leaves_its_rows_to_the_writing_process(tmp_path, monkeypatch):
-    monkeypatch.setattr(io.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    calls, real = [], os.fork
-
-    def second_fails():
-        calls.append(1)
-        if len(calls) == 2:
-            raise BlockingIOError("no process to be had")
-        return real()
-
-    here, formatted, format_rows = os.getpid(), [], io._format_rows
-
-    def recorded(fh, X, labels=None, lo=0, hi=None, sep=","):
-        if os.getpid() == here:
-            formatted.append((lo, hi))
-        format_rows(fh, X, labels, lo, hi, sep)
-
-    monkeypatch.setattr(io.os, "fork", second_fails)
-    monkeypatch.setattr(io, "_format_rows", recorded)
-    X, y = _large_table(3 * io._WRITER_MIN_VALUES // 500 + 7, 500)
-    path = tmp_path / "d.csv"
-    io.write_dataset_csv(path, X, y)
-    assert len(calls) == 2
-    assert formatted == [(len(X) // 3, len(X))]  # the first range went to the one child made
-    assert path.read_bytes() == _savetxt_bytes(X, y)
-    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _two_writer_table(tmp_path, monkeypatch):
@@ -241,52 +211,49 @@ def _two_writer_table(tmp_path, monkeypatch):
     return path, np.ones((2 * io._WRITER_MIN_VALUES // 100, 100))
 
 
-def _in_writers(monkeypatch, child):
-    """Makes the row formatter call ``child`` in a forked writer; the writing process must not format."""
-    here = os.getpid()
-
-    def format_rows(*args):
-        if os.getpid() == here:
-            raise AssertionError("the writing process formatted rows of a split table")
-        child()
-
-    monkeypatch.setattr(io, "_format_rows", format_rows)
+def _in_writers(monkeypatch, writing, helper):
+    """Makes the row formatter call ``writing`` in the writing thread and ``helper`` in the helper."""
+    here = threading.get_ident()
+    monkeypatch.setattr(io, "_format_rows", lambda *a, **k: writing() if threading.get_ident() == here else helper())
 
 
 def _raise(exc):
     raise exc
 
 
-def test_failing_writer_process_raises_and_leaves_nothing(tmp_path, monkeypatch):
+def _leaves_nothing(path, tmp_path, threads):
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+    assert threading.active_count() == threads
+
+
+def test_failing_writer_thread_raises_and_leaves_nothing(tmp_path, monkeypatch):
     path, X = _two_writer_table(tmp_path, monkeypatch)
-    _in_writers(monkeypatch, lambda: _raise(RuntimeError("boom")))
-    with pytest.raises(OSError, match="writer process failed"):
+    _in_writers(monkeypatch, lambda: None, lambda: _raise(RuntimeError("boom")))
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="boom"):
         io.write_dataset_csv(path, X, np.ones(len(X), dtype=int))
-    assert path.read_text() == "old\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    _leaves_nothing(path, tmp_path, threads)
 
 
-def test_interrupted_write_kills_and_reaps_its_writers(tmp_path, monkeypatch):
+def test_interrupted_write_joins_its_helper_and_leaves_nothing(tmp_path, monkeypatch):
     path, X = _two_writer_table(tmp_path, monkeypatch)
-    _in_writers(monkeypatch, lambda: time.sleep(60))
-    # the writing process is interrupted while it waits for its writers
-    # (forked children do not inherit the interval timer)
-    old = signal.signal(signal.SIGALRM, lambda signum, frame: _raise(KeyboardInterrupt()))
-    t0 = time.monotonic()
-    try:
-        signal.setitimer(signal.ITIMER_REAL, 0.5)
-        with pytest.raises(KeyboardInterrupt):
-            io.write_dataset_csv(path, X)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
-    assert time.monotonic() - t0 < 30  # the sleeping writers were killed, not waited out
-    assert path.read_text() == "old\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    finished = []
+    _in_writers(monkeypatch, lambda: _raise(KeyboardInterrupt()), lambda: time.sleep(0.2) or finished.append(1))
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        io.write_dataset_csv(path, X)
+    assert finished == [1]  # the helper's half was waited for before the interrupt propagated
+    _leaves_nothing(path, tmp_path, threads)
+
+
+def test_helper_that_cannot_start_fails_the_write_and_leaves_nothing(tmp_path, monkeypatch):
+    path, X = _two_writer_table(tmp_path, monkeypatch)
+    monkeypatch.setattr(io.threading.Thread, "start", lambda self: _raise(RuntimeError("can't start new thread")))
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="can't start"):
+        io.write_dataset_csv(path, X)
+    _leaves_nothing(path, tmp_path, threads)
 
 
 # --- the %.17g kernel ---------------------------------------------------------
@@ -425,6 +392,26 @@ def test_damaged_sidecar_falls_back_to_a_parse_and_is_rewritten(tmp_path, count_
         "foreign tag": good.replace(b"glda-csv-cache 1\n", b"glda-csv-cache 9\n", 1),
     }[damage]
     _sidecar(path).write_bytes(damaged)
+    got = io.read_feature_csv(path)
+    assert [_bits(a) for a in got] == [_bits(a) for a in expected]
+    assert len(count_parses) == 2
+    assert _sidecar(path).read_bytes() == good
+
+
+@pytest.mark.parametrize("kept", ["int64", "1-d", "zero rows", "one labelled column"])
+def test_sidecar_of_the_wrong_dtype_or_shape_is_a_miss_and_is_rewritten(tmp_path, count_parses, kept):
+    path = tmp_path / "d.csv"
+    io.write_dataset_csv(path, np.arange(12.0).reshape(4, 3) / 7.0, [1, 2, 3, 1])
+    expected = io.read_feature_csv(path)
+    good = _sidecar(path).read_bytes()
+    head = good[:len(io._SIDECAR_TAG) + 33]  # the tag, the CSV's digest and "L"
+    assert head.endswith(b"L")
+    table = {"int64": np.ones((4, 4), dtype=np.int64), "1-d": np.ones(16), "zero rows": np.empty((0, 4)),
+             "one labelled column": np.ones((4, 1))}[kept]
+    out = BytesIO(head)
+    out.seek(0, os.SEEK_END)
+    np.lib.format.write_array(out, table, allow_pickle=False)
+    _sidecar(path).write_bytes(out.getvalue())
     got = io.read_feature_csv(path)
     assert [_bits(a) for a in got] == [_bits(a) for a in expected]
     assert len(count_parses) == 2
@@ -610,3 +597,21 @@ def test_atomic_write_leaves_no_temp(tmp_path):
     io.atomic_write_text(path, "hello\n")
     assert path.read_text() == "hello\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_atomic_write_retries_a_temp_name_that_is_taken(tmp_path, monkeypatch):
+    taken = tmp_path / f".tmp-{bytes(4).hex()}"
+    taken.write_bytes(b"another writer's\n")
+    calls, real = [], os.urandom
+
+    def urandom(n):
+        calls.append(n)
+        return bytes(n) if len(calls) == 1 else real(n)  # the first name is the taken one
+
+    monkeypatch.setattr(io.os, "urandom", urandom)
+    path = tmp_path / "t.txt"
+    io.atomic_write_text(path, "new\n")
+    assert len(calls) == 2
+    assert path.read_text() == "new\n"
+    assert taken.read_bytes() == b"another writer's\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "t.txt"]

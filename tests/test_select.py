@@ -66,6 +66,11 @@ def test_lambda_max_anchors_zero_solution():
     assert np.any(ds2.matrix != 0.0)
 
 
+def test_lambda_max_of_a_single_contrast_is_its_largest_entry():
+    d = np.array([0.5, -3.0, 2.0])  # its 2-norm is 3.64
+    assert lambda_max(d) == 3.0 == lambda_max([d])
+
+
 def test_grid_type_invariants():
     with pytest.raises(ValueError):
         LambdaGrid(values=np.array([1.0, 2.0]))  # increasing

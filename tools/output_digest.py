@@ -37,9 +37,10 @@ and diff what two checkouts print. The hashed families are:
   ten from 1e-12 to 1e19, values that lie half-way between two 17-digit
   decimals, 9.9999999999999995e-07 (the double nearest 1e-6), subnormals,
   zeros and the largest float, each with both signs. The wide tables are
-  large enough to be formatted by forked writers on a machine with more
-  than one usable CPU, and the design-1 table is small enough to be
-  formatted in process, so the hash covers both paths.
+  large enough to be split between the writing thread and a helper thread
+  on a machine with more than one usable CPU, and the design-1 table is
+  small enough to be formatted by the writing thread alone, so the hash
+  covers both paths.
 
 Numbers are hashed as their float64 bytes, so any change in the last bit
 shows. Reports hash the iteration count, KKT residual, status and ray;
