@@ -132,8 +132,8 @@ def cmd_cv(args):
     data = io.read_dataset_csv(args.data)
     grid = _grid_for(args, summarize(data).deltas)
     result = kfold_cv(data, grid, folds=args.folds, seed=args.seed)
-    table = io.format_table(np.column_stack((result.lambdas, result.mean_errors, result.sd_errors)))
-    io.atomic_write_text(args.out, f"lambda,mean_error,sd_error\n{table}# chosen_lambda,{io.fmt(result.chosen_lambda)}\n")
+    table = np.column_stack((result.lambdas, result.mean_errors, result.sd_errors))
+    io.write_table(args.out, "lambda,mean_error,sd_error\n", table, f"# chosen_lambda,{io.fmt(result.chosen_lambda)}\n")
     print(f"chosen_lambda {io.fmt(result.chosen_lambda)}")
     print(f"written {args.out}")
     return EXIT_OK
@@ -171,8 +171,7 @@ def cmd_path(args):
         block[..., 3] = ds.matrix.T
         block[..., 4] = group_norms(ds)
         rows.append(block.reshape(-1, 5))
-    table = io.format_table(np.concatenate(rows))
-    io.atomic_write_text(args.out, f"lambda,direction,feature,coefficient,group_norm\n{table}")
+    io.write_table(args.out, "lambda,direction,feature,coefficient,group_norm\n", np.concatenate(rows))
     print(
         f"path: {len(statuses)} fits, {statuses.count('max_iter')} max_iter,"
         f" {statuses.count('unbounded')} unbounded",

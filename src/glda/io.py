@@ -5,23 +5,25 @@ test file may omit the label column (header ``f1,...,fp``). Floats are
 written with 17 significant digits (``%.17g``, as ``np.savetxt`` does), so a
 write/read round trip is bit-exact. One row formatter writes every table
 (dataset CSVs, model files, and the ``cv`` and ``path`` tables): a numpy
-kernel writes the bytes of ``%.17g`` for zeros and for 1e-6 <= |x| < 1e17,
-where the 17-digit mantissa is an exact product of x and a power of ten,
-and Python's ``%`` formats every other value (non-finite ones included)
-and every label. With two usable CPUs or more, a large dataset table is
-split in half at a row: a helper thread formats the second half into an
-unlinked temp file while the writing thread formats the first and then
-appends the helper's part. Threads share the GIL, so there are never more
-than two writers, and nothing depends on ``fork``. An error or interrupt
-in the writing thread waits for the helper to format its half, then
-propagates; an error in the helper is raised in the writing thread. The
-bytes are the same, and no file or thread is left behind.
+kernel writes the values that ``%.17g`` prints in fixed notation, zeros and
+1e-4 <= |x| < 1e17, where the 17-digit mantissa is an exact product of x
+and a power of ten, and Python's ``%`` formats every other value (those in
+exponent notation, and non-finite ones) and every label. With two usable
+CPUs or more, a large dataset table is split in half at a row: a helper
+thread formats the second half into an unlinked temp file while the
+writing thread formats the first and then appends the helper's part.
+Threads share the GIL, so there are never more than two writers, and
+nothing depends on ``fork``. An error or interrupt in the writing thread
+waits for the helper to format its half, then propagates; an error in the
+helper is raised in the writing thread. The bytes are the same, and no
+file or thread is left behind.
 
 Model files are line-oriented text with named sections (dimensions,
 priors, means, directions or variances) - diffable and language-agnostic.
 
-All writers stream into a temp file that is renamed onto the target, so
-partial files never appear at the target path.
+Every file is written binary: each writer streams bytes into a temp file
+that is renamed onto the target, so partial files never appear at the
+target path, and no write depends on the locale's encoding.
 
 Reading a dataset CSV keeps its parse in a sidecar ``.<name>.glda-cache``
 beside it, keyed by the SHA-256 of the CSV's bytes: the tag line
@@ -39,7 +41,7 @@ import shutil
 import stat
 import tempfile
 import threading
-from io import BytesIO, TextIOWrapper
+from io import TextIOWrapper
 
 import numpy as np
 
@@ -50,10 +52,10 @@ __all__ = [
     "FormatError",
     "atomic_write_text",
     "fmt",
-    "format_table",
     "read_dataset_csv",
     "read_feature_csv",
     "write_dataset_csv",
+    "write_table",
     "write_model_file",
     "read_model_file",
     "write_truth_file",
@@ -70,8 +72,8 @@ def fmt(x: float) -> str:
 
 
 @contextlib.contextmanager
-def _atomic_open(path, binary=False, perm=0o666):
-    """A text (or binary) handle on a temp file beside ``path``, renamed onto it on success.
+def _atomic_open(path, perm=0o666):
+    """A binary handle on a temp file beside ``path``, renamed onto it on success.
 
     The file gets the mode bits ``perm`` less the umask, as open() does.
     """
@@ -87,7 +89,7 @@ def _atomic_open(path, binary=False, perm=0o666):
             # name the target the caller gave, not the temp file
             raise FileNotFoundError(exc.errno, exc.strerror, path) from None
     try:
-        with os.fdopen(fd, "wb") if binary else os.fdopen(fd, "w", newline="\n") as fh:
+        with os.fdopen(fd, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -97,8 +99,9 @@ def _atomic_open(path, binary=False, perm=0o666):
 
 
 def atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8."""
     with _atomic_open(path) as fh:
-        fh.write(text)
+        fh.write(text.encode())
 
 
 def write_dataset_csv(path, features, labels=None) -> None:
@@ -114,7 +117,7 @@ def write_dataset_csv(path, features, labels=None) -> None:
     if labels is not None:
         labels = _whole_labels(labels, X.shape[0])
         names.insert(0, "label")
-    with _atomic_open(path, binary=True) as fh:
+    with _atomic_open(path) as fh:
         fh.write(",".join(names).encode() + b"\n")
         _write_table(fh, X, labels, os.path.dirname(os.path.abspath(path)))
 
@@ -125,12 +128,16 @@ def _whole_labels(labels, n):
     if y.size != n:
         raise ValueError(f"need one label per row: {y.size} labels for {n} rows")
     if y.dtype.kind not in "iu":
-        f = y.astype(float)
-        # a whole number that fits an int (nan and inf fail both tests), as the reader asks
-        if not np.all((np.abs(f) < 2.0**63) & (f == np.floor(f))):
+        y = y.astype(float)
+        if not _whole(y):
             raise ValueError("labels must be whole numbers")
-        y = f.astype(np.int64)
+        y = y.astype(np.int64)
     return y
+
+
+def _whole(labels):
+    """Whether every float label is a whole number that fits an int (nan and inf are not)."""
+    return np.all((np.abs(labels) < 2.0**63) & (labels == np.floor(labels)))
 
 
 # --- the row formatter ------------------------------------------------------
@@ -139,11 +146,12 @@ def _whole_labels(labels, n):
 # tables) goes through _format_rows, which writes exactly what printf-style
 # "%.17g" gives, from a numpy kernel. Each value gets a slot of _SLOT bytes
 # and its text is the run start..end-1 of the slot, followed by its
-# separator at end. A value x with 1e-6 <= |x| < 1e17, or a zero, is laid
-# out around a decimal point at column _POINT: the digits of its integer
-# part end just before the point, and the 17-digit fraction field starts
-# just after it. Every other value, and every label, is formatted by
-# Python's "%" and copied into its slot.
+# separator at end. The kernel lays out only the values that "%.17g" prints
+# in fixed notation, a zero or 1e-4 <= |x| < 1e17, around a decimal point at
+# column _POINT: the digits of the integer part end just before the point,
+# and the 17-digit fraction field starts just after it. Every other value
+# (those "%.17g" prints in exponent notation, and non-finite ones), and
+# every label, is formatted by Python's "%" and copied into its slot.
 
 _SLOT = 44
 _POINT = 18
@@ -178,7 +186,7 @@ def _veltkamp(a):
     return hi, a - hi
 
 
-_POW10 = np.array([float(10**k) for k in range(23)])  # each 10**k, k <= 22, is exact
+_POW10 = np.array([float(10**k) for k in range(21)])  # each 10**k, k <= 20, is exact
 _POW10_HI, _POW10_LO = _veltkamp(_POW10)
 _POW10_INT = np.array([10**k for k in range(18)], dtype=np.int64)
 _n = np.arange(10000)
@@ -222,36 +230,30 @@ def _slots(x):
     b2, b4 = buf.view("<u2"), buf.view("<u4")
     b4[:, 3:5] = np.frombuffer(b"000000.0", "<u4")  # columns 12-19: zeros for 0.000ddd, the point
     a = np.abs(x)
-    fast = (a >= 1e-6) & (a < 1e17)
+    fast = (a >= 1e-4) & (a < 1e17)  # fixed notation; the double nearest 1e-4 lies above it
     zero = a == 0
     a = np.where(fast, a, 1.0)  # keeps the arithmetic below quiet on the other values
-    # E, the decimal exponent: the 17-digit mantissa is a * 10**(16 - E), in
-    # [1e16, 1e17). E is judged on the exact product, since log10 can be one
-    # off near a power of ten (never two), and a value whose E leaves -6..16
-    # (10**k is exact only for k <= 22) falls back to "%".
+    # E, the decimal exponent (-4..16 here): the 17-digit mantissa is
+    # a * 10**(16 - E), in [1e16, 1e17). E is judged on the exact product,
+    # since log10 can be one off near a power of ten (never two).
     e = np.floor(np.log10(a)).astype(np.intp)
-    np.clip(e, -6, 16, out=e)
+    np.clip(e, -4, 16, out=e)
     p, err = _scaled(a, e)
     below = (p < 1e16) | ((p == 1e16) & (err < 0))
     above = (p > 1e17) | ((p == 1e17) & (err >= 0))
     redo = np.flatnonzero(below | above)
     if redo.size:
-        e2 = e[redo] - below[redo] + above[redo]
-        fast[redo[(e2 < -6) | (e2 > 16)]] = False
-        np.clip(e2, -6, 16, out=e2)
-        p[redo], err[redo] = _scaled(a[redo], e2)
-        e[redo] = e2
+        e[redo] = e[redo] - below[redo] + above[redo]
+        p[redo], err[redo] = _scaled(a[redo], e[redo])
     # p >= 2**53 is an even integer, so rounding err half-to-even rounds the
-    # exact product half-to-even. No rounding reaches 1e17: the largest
-    # double below each power of ten lies more than 5e-18 of it away.
+    # exact product half-to-even. No rounding reaches a power of ten (the
+    # largest double below each lies more than 5e-18 of it away), so the
+    # printed value keeps E, and %.17g's notation switch at E = -4 is 1e-4's.
     D = p.astype(np.int64) + np.rint(err).astype(np.int64)
     D[zero], e[zero] = 0, 0
-    # layout: fixed notation for -4 <= E < 17, else exponent notation, whose
-    # mantissa is laid out as fixed with E = 0. Q is the number of integer
-    # digits less one (-1 for 0.ddd). I holds the integer digits, G the
-    # fraction's, left-aligned in a 17-digit field.
-    fixed = e >= -4
-    q = np.where(fixed, np.maximum(e, -1), 0)
+    # layout: Q is the number of integer digits less one (-1 for 0.ddd). I holds
+    # the integer digits, G the fraction's, left-aligned in a 17-digit field.
+    q = np.maximum(e, -1)
     div = _POW10_INT[16 - q]
     I = D // div
     G = (D - I * div) * _POW10_INT[q + 1]
@@ -267,19 +269,11 @@ def _slots(x):
         I //= 100
     start = _POINT - 1 - np.maximum(q, 0)
     end = _POINT + 18 - trailing.astype(np.intp)  # the fraction less its trailing zeros; no point if none is left
-    tiny = np.flatnonzero(fixed & (e < -1))  # 0.0ddd .. 0.000ddd
+    tiny = np.flatnonzero(e < -1)  # 0.0ddd .. 0.000ddd: the point moves left
     if tiny.size:
         buf[tiny, _POINT] = 48
         buf[tiny, _POINT + 1 + e[tiny]] = 46
         start[tiny] = _POINT + e[tiny]
-    expo = np.flatnonzero(~fixed)
-    if expo.size:
-        at, ee = end[expo], e[expo]
-        buf[expo, at] = ord("e")
-        buf[expo, at + 1] = np.where(ee < 0, ord("-"), ord("+"))
-        buf[expo, at + 2] = 48 + np.abs(ee) // 10
-        buf[expo, at + 3] = 48 + np.abs(ee) % 10
-        end[expo] = at + 4
     buf.reshape(-1)[np.arange(-1, n * _SLOT - 1, _SLOT) + start] = ord("-")  # outside the run unless negative
     start -= np.signbit(x)
     slow = np.flatnonzero(~(fast | zero))
@@ -315,11 +309,12 @@ def _format_rows(fh, X, labels=None, lo=0, hi=None, sep=",", block=_BLOCK_VALUES
         fh.write(_rows_text(X[start:stop], sep, None if labels is None else labels[start:stop]))
 
 
-def format_table(table) -> str:
-    """The rows of the 2-d ``table`` as CSV lines of %.17g values."""
-    out = BytesIO()
-    _format_rows(out, np.asarray(table, dtype=float))
-    return out.getvalue().decode("ascii")
+def write_table(path, header, table, footer="") -> None:
+    """Write ``header``, the rows of the 2-d ``table`` as CSV lines of %.17g values, then ``footer``."""
+    with _atomic_open(path) as fh:
+        fh.write(header.encode())
+        _format_rows(fh, np.asarray(table, dtype=float))
+        fh.write(footer.encode())
 
 
 def _write_table(fh, X, labels, tmpdir):
@@ -376,8 +371,7 @@ def read_feature_csv(path):
     X, labels = table, None
     if labeled:
         labels, X = table[:, 0], table[:, 1:]
-        # a label is a whole number that fits an int (nan and inf fail both tests)
-        if not np.all((np.abs(labels) < 2.0**63) & (labels == np.floor(labels))):
+        if not _whole(labels):
             raise FormatError(f"{path}: non-numeric value")
         labels = labels.astype(int)
     if not np.all(np.isfinite(X)):
@@ -456,7 +450,7 @@ def _write_sidecar(path, before, digest, labeled, table):
     try:
         if key(os.stat(path)) != key(before):
             return
-        with _atomic_open(_sidecar_path(path), binary=True, perm=before.st_mode & 0o666) as fh:
+        with _atomic_open(_sidecar_path(path), perm=before.st_mode & 0o666) as fh:
             fh.write(_SIDECAR_TAG + digest + (b"L" if labeled else b"U"))
             np.lib.format.write_array(fh, table, allow_pickle=False)
     except OSError:
@@ -476,7 +470,7 @@ def write_model_file(path, model, estimator: str) -> None:
         kind, section, rows = "nbayes", "variances", model.variances
     else:
         kind, section, rows = "lda", "directions", model.directions.matrix
-    with _atomic_open(path, binary=True) as fh:
+    with _atomic_open(path) as fh:
         fh.write(f"glda-model 1\nkind {kind} K {model.n_classes} p {model.p} estimator {estimator}\n".encode())
         for tag, block in (("priors", model.priors[None, :]), ("means", model.means), (section, rows)):
             fh.write(tag.encode() + b"\n")

@@ -195,6 +195,7 @@ def test_criterion_05_sim1_support_recovery():
     n_seeds = 50
     rec_grouped = np.zeros(len(grid), dtype=int)
     rec_lpd = np.zeros(len(grid), dtype=int)
+    supports = [[] for _ in grid.values]  # each grid point's grouped support, seed by seed
     for seed in range(n_seeds):
         d = sample(sim1_spec(seed))
         cs = summarize(d)
@@ -202,6 +203,7 @@ def test_criterion_05_sim1_support_recovery():
         for i, lam in enumerate(grid.values):
             ds, _ = fit_grouped(S, cs.deltas, float(lam))
             sup = set(hard_threshold(ds, zeta).joint_support().tolist())
+            supports[i].append(sup)
             rec_grouped[i] += sup == target
             try:
                 cols = [fit_lpd(S, cs.deltas[k], float(lam)) for k in range(2)]
@@ -209,8 +211,13 @@ def test_criterion_05_sim1_support_recovery():
                 continue
             lp = hard_threshold(DirectionSet(np.column_stack(cols)), zeta)
             rec_lpd[i] += set(lp.joint_support().tolist()) == target
-    best_grouped = int(rec_grouped.max())
+    best = int(np.argmax(rec_grouped))
+    best_grouped = int(rec_grouped[best])
     best_lpd = int(rec_lpd.max())
+    # what the seeds that fail at the best grouped lambda get wrong
+    failing = [sup for sup in supports[best] if sup != target]
+    lost = {j + 1: sum(j not in sup for sup in failing) for j in sorted(target)}
+    kept_false = sum(bool(sup - target) for sup in failing)
     clause1 = best_grouped >= int(0.8 * n_seeds)
     clause2 = best_grouped >= best_lpd
     ok = clause1 and clause2
@@ -219,7 +226,10 @@ def test_criterion_05_sim1_support_recovery():
         "design-1 exact joint recovery",
         ok,
         f"grouped best {best_grouped}/{n_seeds} (need >= {int(0.8 * n_seeds)}), "
-        f"lpd best {best_lpd}/{n_seeds}, grouped >= lpd: {clause2}",
+        f"lpd best {best_lpd}/{n_seeds}, grouped >= lpd: {clause2}; "
+        f"at lambda {grid.values[best]:.4g} the {len(failing)} failing seeds lost true (1-based) "
+        f"{', '.join(f'feature {j} on {n} seed(s)' for j, n in lost.items() if n)}, "
+        f"and {kept_false} of them kept a false one",
     )
 
 

@@ -230,13 +230,11 @@ def test_fit_lpd_infeasible_exit4(tmp_path):
 
 
 def test_fit_lpd_simplex_failure_exit3(tmp_path, monkeypatch, capsys):
-    from glda import solvers
-    from glda.simplex import LpNumericalError
+    # the dual simplex's own budget exit: each contrast here takes 5 pivots,
+    # and a budget of one stops the first
+    from glda import simplex
 
-    def fail(lp, A, b):
-        raise LpNumericalError("simplex did not terminate within the pivot budget")
-
-    monkeypatch.setattr(solvers.InequalityLP, "append", fail)
+    monkeypatch.setattr(simplex, "_budget", lambda T: 1)
     train = tmp_path / "train.csv"
     write_training_csv(train)
     out = tmp_path / "m.txt"

@@ -7,7 +7,7 @@ from io import BytesIO, StringIO
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glda import io
@@ -131,6 +131,21 @@ def test_csv_writer_rejects_bad_input_before_making_a_file(tmp_path, features, l
     with pytest.raises(ValueError, match=match):
         io.write_dataset_csv(tmp_path / "d.csv", features, labels)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_writer_and_reader_share_one_label_rule(tmp_path):
+    # a label is a whole number that fits an int64: the largest double below
+    # 2**63 passes both, and 2**63, 1e19, a fraction, nan and inf fail both
+    path = tmp_path / "d.csv"
+    top = 2.0**63 - 1024
+    io.write_dataset_csv(path, [[1.0], [2.0]], [top, 2.0])
+    assert io.read_feature_csv(path)[1].tolist() == [2**63 - 1024, 2]
+    for bad in (2.0**63, 1e19, -1e19, 2.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="whole numbers"):
+            io.write_dataset_csv(path, [[1.0], [2.0]], [bad, 2.0])
+        path.write_text(f"label,f1\n{bad!r},1\n2,2\n")
+        with pytest.raises(io.FormatError, match="non-numeric"):
+            io.read_feature_csv(path)
 
 
 def test_csv_labels_are_written_from_their_integers(tmp_path):
@@ -269,7 +284,15 @@ def _percent_text(values, sep=","):
     return sep.join("%.17g" % v for v in values) + "\n"
 
 
+# the doubles on each side of 1e-4, where %.17g and the kernel hand over to
+# "%", and of 1e-6, where the kernel handed over before it wrote fixed
+# notation only; the double nearest 1e-4 lies above it, and 1e-6's below
+_HANDOVERS = [9.9999999999999991e-05, 1e-4, 1.0000000000000002e-04,
+              9.9999999999999974e-07, 1e-6, 1.0000000000000002e-06]
+
+
 @settings(max_examples=400, deadline=None)
+@example(_HANDOVERS + [-v for v in _HANDOVERS])
 @given(st.lists(st.one_of(st.floats(), st.floats(-1e17, 1e17), st.floats(-1e-3, 1e-3)), min_size=1, max_size=40))
 def test_kernel_writes_what_percent_writes(values):
     assert _kernel_text(values) == _percent_text(values)
@@ -316,11 +339,14 @@ def test_wide_model_file_bytes_and_one_kernel_call_per_section(tmp_path, monkeyp
     assert len(calls) == 3
 
 
-def test_format_table_matches_per_value_formatting():
+def test_write_table_writes_header_rows_and_footer(tmp_path):
     table = np.array([[0.5, 1, 2000, -0.0, np.nan], [1e-7, 2, 1, 3.25e20, np.inf]])
-    expected = "".join(",".join(io.fmt(v) for v in row) + "\n" for row in table)
-    assert io.format_table(table) == expected
-    assert io.format_table(np.empty((0, 5))) == ""
+    path = tmp_path / "t.csv"
+    io.write_table(path, "a,b,c,d,e\n", table, "# end,1\n")
+    assert path.read_bytes() == b"a,b,c,d,e\n0.5,1,2000,-0,nan\n9.9999999999999995e-08,2,1,3.25e+20,inf\n# end,1\n"
+    io.write_table(path, "a,b,c,d,e\n", np.empty((0, 5)))
+    assert path.read_bytes() == b"a,b,c,d,e\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
 # --- the parse sidecar ----------------------------------------------------
@@ -597,6 +623,12 @@ def test_atomic_write_leaves_no_temp(tmp_path):
     io.atomic_write_text(path, "hello\n")
     assert path.read_text() == "hello\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_atomic_write_text_writes_utf8_whatever_the_locale(tmp_path):
+    path = tmp_path / "u.txt"
+    io.atomic_write_text(path, "λ ≥ 0.5, naïve\n")
+    assert path.read_bytes() == "λ ≥ 0.5, naïve\n".encode("utf-8")
 
 
 def test_atomic_write_retries_a_temp_name_that_is_taken(tmp_path, monkeypatch):

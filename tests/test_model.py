@@ -25,6 +25,7 @@ def test_summarize_hand_case():
     assert np.allclose(cs.priors, [0.5, 0.5])
     assert cs.deltas.shape == (1, 1)
     assert cs.deltas[0, 0] == -5.0
+    assert (cs.n_classes, cs.p) == (2, 1)
 
 
 def test_summarize_single_effective_class_rejected():

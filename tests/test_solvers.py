@@ -446,6 +446,45 @@ def test_hard_bounded_fit_backs_off_its_newton_attempts(monkeypatch):
     assert 0 < len(attempts) <= np.log2(solvers._MAX_ITER)
 
 
+def _singular_solve(H, b):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _overflowed_solve(H, b):
+    return np.full_like(b, np.inf)
+
+
+def _zero_row_solve(H, b, solve=np.linalg.solve):
+    Z = solve(H, b)
+    Z[:2] = 0.0  # the first row of the |A| x 2 step
+    return Z
+
+
+@pytest.mark.parametrize("patch", [_singular_solve, _overflowed_solve, _zero_row_solve])
+def test_newton_bail_outs_leave_the_plain_run_to_finish(monkeypatch, patch):
+    # design 1, seed 0, at the criterion grid's best point: the second
+    # Newton attempt lands (on 3 of 4 rows). A solve that fails, overflows
+    # or zeroes a row makes every attempt bail out after its one solve, and
+    # the accelerated run reaches the same optimum by itself
+    S, D, grid = next(_study_problems([0]))
+    lam = float(grid[4])
+    assert lam == pytest.approx(1.418, abs=5e-4)
+    attempts = _newton_spy(monkeypatch)
+    _, ref = fit_grouped(S, D, lam)
+    assert ref.status == "optimal" and attempts[-1][2]
+    attempts.clear()
+    solves = []
+    monkeypatch.setattr(np.linalg, "solve", lambda H, b: solves.append(1) or patch(H, b))
+    _, rep = fit_grouped(S, D, lam)
+    assert attempts and not any(landed for *_, landed in attempts)
+    assert len(solves) == len(attempts)  # each bailed out at its first step
+    assert rep.status == ref.status
+    assert rep.kkt_residual <= solvers._KKT_EXIT * max(np.abs(D).max(), lam)
+    f, f_ref = rep.objective_trace[-1], ref.objective_trace[-1]
+    assert abs(f - f_ref) <= 1e-9 * abs(f_ref)
+    assert rep.iterations >= ref.iterations
+
+
 # --- fit_lpd ------------------------------------------------------------
 
 
@@ -500,6 +539,26 @@ def test_lpd_simplex_proof_that_fails_its_check_is_a_numerical_error(monkeypatch
     monkeypatch.setattr(solvers, "_recession_ray", lambda *args: None)
     with pytest.raises(solvers.LpNumericalError, match="failed its check"):
         fit_lpd(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([2.0, -2.0]), 0.5)
+
+
+def test_lpd_pivot_budget_exit_is_a_numerical_error(monkeypatch):
+    # each contrast of this full-rank problem takes 4 or 5 dual pivots; a
+    # budget of one pivot ends the simplex at its budget exit
+    from glda import simplex
+
+    S, D = _three_class_problem(34)
+    pivots, pivot = [], simplex._pivot
+    monkeypatch.setattr(simplex, "_pivot", lambda *args: pivots.append(1) or pivot(*args))
+    for delta in D:
+        pivots.clear()
+        fit_lpd(S, delta, 0.05)
+        assert len(pivots) > 1
+    monkeypatch.setattr(simplex, "_budget", lambda T: 1)
+    for delta in D:
+        pivots.clear()
+        with pytest.raises(solvers.LpNumericalError, match="within the pivot budget"):
+            fit_lpd(S, delta, 0.05)
+        assert len(pivots) == 1
 
 
 def test_lpd_max_iter_pre_check_still_reaches_the_optimum_of_a_feasible_box(monkeypatch):
