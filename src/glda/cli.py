@@ -1,11 +1,13 @@
 """Command-line surface: fit, cv, predict, path, simulate, diagnose.
 
 Every command is deterministic given its flags and seed; output files are
-written atomically. Exit codes: 0 success, 2 usage/parse errors, 3 solver
-non-convergence (a fit not ending optimal under --strict, or an LPD simplex
-that ran out of pivots or whose proof of an empty box failed its check), 4
-infeasible LPD, 5 a class smaller than the fold count, 6 model/data
-dimension mismatch.
+written atomically. A command returns its report lines, and ``main`` prints
+them (exit 0) or the error that stopped the command, with its exit code
+from ``_EXIT_CODES``: 2 usage/parse errors, or a path that cannot be
+opened or written, 3 solver non-convergence (a fit not ending optimal
+under --strict, or an LPD simplex that ran out of pivots or whose proof of
+an empty box failed its check), 4 infeasible LPD, 5 a class smaller than
+the fold count, 6 model/data dimension mismatch.
 """
 
 import argparse
@@ -52,6 +54,18 @@ class CommandError(Exception):
         self.code = code
 
 
+# main's exit code for an error a command raises: that of the first entry
+# it is an instance of. A CommandError carries its own.
+_EXIT_CODES = {
+    LpInfeasibleError: EXIT_INFEASIBLE,
+    LpNumericalError: EXIT_NOCONV,
+    FoldSizeError: EXIT_SMALL_CLASS,  # before ValueError, its base
+    OSError: EXIT_PARSE,
+    io.FormatError: EXIT_PARSE,
+    ValueError: EXIT_PARSE,
+}
+
+
 def _parse_grid(text):
     try:
         lmax_s, n_s, dec_s = text.split(":")
@@ -63,10 +77,7 @@ def _parse_grid(text):
 def _grid_for(args, deltas):
     if args.lambda_grid is not None:
         lmax, n, dec = _parse_grid(args.lambda_grid)
-        try:
-            return lambda_grid(lmax, n, dec)
-        except ValueError as exc:
-            raise CommandError(EXIT_PARSE, str(exc)) from None
+        return lambda_grid(lmax, n, dec)
     return lambda_grid(lambda_max(deltas), 50, 3.0)
 
 
@@ -95,37 +106,32 @@ def cmd_fit(args):
     data = io.read_dataset_csv(args.data)
     if args.estimator == "nbayes":
         model = naive_bayes_fit(data)
-        io.write_model_file(args.out, model, "nbayes")
-        print(f"estimator nbayes classes {model.n_classes} features {model.p}")
-        print(f"written {args.out}")
-        return EXIT_OK
-    cs = summarize(data)
-    S = pooled_scatter(data, cs)
-    if args.estimator == "pinv":
-        ds = pseudoinverse_lda_fit(S, cs)
-        lines = ["solver pinv done"]
+        lines = [f"estimator nbayes classes {model.n_classes} features {model.p}"]
     else:
-        ds, reports = fit_directions(args.estimator, S, cs.deltas, args.lam)
-        _check_converged(args.estimator, reports, args.strict)
-        if args.estimator == "lpd":
-            lines = [f"solver lpd direction {k + 1} done" for k in range(ds.n_directions)]
+        cs = summarize(data)
+        S = pooled_scatter(data, cs)
+        if args.estimator == "pinv":
+            ds = pseudoinverse_lda_fit(S, cs)
+            lines = ["solver pinv done"]
         else:
-            lines = []
-            for k, rep in enumerate(reports):
-                which = f" direction {k + 1}" if args.estimator == "single" else ""
-                lines.append(
-                    f"solver {args.estimator}{which} iterations {rep.iterations}"
-                    f" converged {str(rep.converged).lower()} kkt {rep.kkt_residual:.3e}"
-                    f" status {rep.status}"
-                )
-    ds = hard_threshold(ds, args.zeta)
-    model = build_model(cs, ds)
+            ds, reports = fit_directions(args.estimator, S, cs.deltas, args.lam)
+            _check_converged(args.estimator, reports, args.strict)
+            if args.estimator == "lpd":
+                lines = [f"solver lpd direction {k + 1} done" for k in range(ds.n_directions)]
+            else:
+                lines = []
+                for k, rep in enumerate(reports):
+                    which = f" direction {k + 1}" if args.estimator == "single" else ""
+                    lines.append(
+                        f"solver {args.estimator}{which} iterations {rep.iterations}"
+                        f" converged {str(rep.converged).lower()} kkt {rep.kkt_residual:.3e}"
+                        f" status {rep.status}"
+                    )
+        ds = hard_threshold(ds, args.zeta)
+        model = build_model(cs, ds)
+        lines.append(f"nonzero_rows {int(np.count_nonzero(group_norms(ds)))}")
     io.write_model_file(args.out, model, args.estimator)
-    for ln in lines:
-        print(ln)
-    print(f"nonzero_rows {int(np.count_nonzero(group_norms(ds)))}")
-    print(f"written {args.out}")
-    return EXIT_OK
+    return [*lines, f"written {args.out}"]
 
 
 def cmd_cv(args):
@@ -134,9 +140,7 @@ def cmd_cv(args):
     result = kfold_cv(data, grid, folds=args.folds, seed=args.seed)
     table = np.column_stack((result.lambdas, result.mean_errors, result.sd_errors))
     io.write_table(args.out, "lambda,mean_error,sd_error\n", table, f"# chosen_lambda,{io.fmt(result.chosen_lambda)}\n")
-    print(f"chosen_lambda {io.fmt(result.chosen_lambda)}")
-    print(f"written {args.out}")
-    return EXIT_OK
+    return [f"chosen_lambda {io.fmt(result.chosen_lambda)}", f"written {args.out}"]
 
 
 def cmd_predict(args):
@@ -145,12 +149,10 @@ def cmd_predict(args):
     if X.shape[1] != model.p:
         raise CommandError(EXIT_DIM, "model and data feature dimensions differ")
     pred = predict_batch(model, X)
-    io.atomic_write_text(args.out, "label\n" + "\n".join(str(int(v)) for v in pred) + "\n")
-    if labels is not None:
-        err = float(np.mean(pred != labels))
-        print(f"error_rate {io.fmt(err)}")
-    print(f"written {args.out}")
-    return EXIT_OK
+    io.write_table(args.out, "label\n", pred[:, None])
+    if labels is None:
+        return [f"written {args.out}"]
+    return [f"error_rate {io.fmt(np.mean(pred != labels))}", f"written {args.out}"]
 
 
 def cmd_path(args):
@@ -177,17 +179,14 @@ def cmd_path(args):
         f" {statuses.count('unbounded')} unbounded",
         file=sys.stderr,
     )
-    print(f"written {args.out}")
-    return EXIT_OK
+    return [f"written {args.out}"]
 
 
 def cmd_simulate(args):
-    if args.design == "sim1":
-        spec = sim1_spec(args.seed)
-    elif args.design == "sim2":
-        spec = sim2_spec(args.seed)
-    else:
+    designs = {"sim1": sim1_spec, "sim2": sim2_spec}
+    if args.design not in designs:
         raise CommandError(EXIT_PARSE, f"unknown design '{args.design}'")
+    spec = designs[args.design](args.seed)
     data = sample(spec)
     io.write_dataset_csv(args.out, data.features, data.labels)
     B = spec.true_directions
@@ -211,9 +210,7 @@ def cmd_simulate(args):
         "delta": [delta_quadratic(spec.sigma, d) for d in spec.deltas()],
     }
     io.write_truth_file(args.truth_out, payload)
-    print(f"written {args.out}")
-    print(f"written {args.truth_out}")
-    return EXIT_OK
+    return [f"written {args.out}", f"written {args.truth_out}"]
 
 
 def _read_truth(path):
@@ -254,35 +251,25 @@ def cmd_diagnose(args):
         {"metric": "cone_condition", "value": bool(cone_condition_check(est, B_true, T))},
         {"metric": "event_d", "value": bool(event_d_check(S, sig))},
         {"metric": "sup_group_error", "value": sup_err},
-    ]
-    for k in range(est.n_directions):
-        records.append(
-            {
-                "metric": "linf_error",
-                "direction": k + 1,
-                "value": float(np.abs(gap[:, k]).max()),
-            }
-        )
-    records.append(
+        *(
+            {"metric": "linf_error", "direction": k + 1, "value": float(np.abs(gap[:, k]).max())}
+            for k in range(est.n_directions)
+        ),
         {
             "metric": "support",
             "zeta": args.zeta,
-            "joint": {
-                "tp": metrics.joint.tp,
-                "fp": metrics.joint.fp,
-                "fn": metrics.joint.fn,
-                "exact": metrics.joint.exact,
-            },
-            "per_direction": [
-                {"tp": c.tp, "fp": c.fp, "fn": c.fn, "exact": c.exact}
-                for c in metrics.per_direction
-            ],
-        }
-    )
+            "joint": _counts(metrics.joint),
+            "per_direction": [_counts(c) for c in metrics.per_direction],
+        },
+    ]
     text = "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n"
     io.atomic_write_text(args.out, text)
-    print(f"written {args.out}")
-    return EXIT_OK
+    return [f"written {args.out}"]
+
+
+def _counts(c):
+    """The record of one support comparison."""
+    return {"tp": c.tp, "fp": c.fp, "fn": c.fn, "exact": c.exact}
 
 
 def _build_parser():
@@ -344,25 +331,23 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except CommandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except LpInfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except LpNumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOCONV
-    except FoldSizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SMALL_CLASS
-    except FileNotFoundError as exc:
-        print(f"error: cannot open {exc.filename}", file=sys.stderr)
-        return EXIT_PARSE
-    except (io.FormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        report = args.func(args)
+    except (CommandError, *_EXIT_CODES) as exc:
+        print(f"error: {_message(exc)}", file=sys.stderr)
+        if isinstance(exc, CommandError):
+            return exc.code
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+    for line in report:
+        print(line)
+    return EXIT_OK
+
+
+def _message(exc):
+    if isinstance(exc, FileNotFoundError):
+        return f"cannot open {exc.filename}"
+    if isinstance(exc, OSError):
+        return f"cannot open {exc.filename}: {exc.strerror}"
+    return str(exc)
 
 
 if __name__ == "__main__":

@@ -75,7 +75,9 @@ def fmt(x: float) -> str:
 def _atomic_open(path, perm=0o666):
     """A binary handle on a temp file beside ``path``, renamed onto it on success.
 
-    The file gets the mode bits ``perm`` less the umask, as open() does.
+    The file gets the mode bits ``perm`` less the umask, as open() does. A
+    system error from making, writing or renaming the temp file names
+    ``path``, not the temp file.
     """
     d = os.path.dirname(os.path.abspath(path))
     while True:
@@ -85,16 +87,18 @@ def _atomic_open(path, perm=0o666):
             break
         except FileExistsError:
             continue
-        except FileNotFoundError as exc:
-            # name the target the caller gave, not the temp file
-            raise FileNotFoundError(exc.errno, exc.strerror, path) from None
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        # an OSError without an errno was raised by the caller, not the system
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

@@ -6,6 +6,7 @@ import pytest
 from glda.classify import (
     ClassifierModel,
     NaiveBayesModel,
+    PredictionReport,
     build_model,
     evaluate,
     naive_bayes_fit,
@@ -300,3 +301,19 @@ def test_pinv_rank_one_identity():
     expect = (v @ delta / np.linalg.norm(v) ** 4) * v
     assert np.allclose(ds.matrix[:, 0], expect, atol=1e-10)
     assert np.allclose(ds.matrix[:, 0], np.linalg.pinv(S) @ delta, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "make, reason",
+    [
+        (lambda: ClassifierModel(directions=DirectionSet(np.zeros((2, 1))), means=np.zeros(2),
+                                 priors=np.array([0.5, 0.5])), "means must form a 2-d matrix"),
+        (lambda: PredictionReport(labels=[1], scores=[[0.0, 1.0]], error_rate=1.5),
+         r"error rate must lie in \[0, 1\]"),
+        (lambda: scores(hand_binary_model(), np.zeros((1, 3))), "feature dimension does not match the model"),
+    ],
+    ids=["means-1d", "error-rate", "score-dimension"],
+)
+def test_classify_validators(make, reason):
+    with pytest.raises(ValueError, match=reason):
+        make()

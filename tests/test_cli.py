@@ -1,8 +1,13 @@
+import errno
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import glda
 from glda import io
 from glda.cli import main
 from glda.simulate import sample, spec_from_directions
@@ -595,3 +600,142 @@ def test_diagnose_end_to_end_positive_error(tmp_path):
     records = [json.loads(ln) for ln in out.read_text().strip().split("\n")]
     sup_err = next(r for r in records if r["metric"] == "sup_group_error")["value"]
     assert np.isfinite(sup_err) and sup_err > 0
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """Files the input-check cases read: a design-1 sample, its truth, two models and three bad inputs."""
+    d = tmp_path_factory.mktemp("inputs")
+    files = {name: str(d / f"{name}{suffix}") for name, suffix in
+             (("data", ".csv"), ("truth", ".json"), ("lda", ".txt"), ("nbayes", ".txt"),
+              ("unlabelled", ".csv"), ("narrow", ".csv"), ("badtruth", ".json"))}
+    assert main(["simulate", "sim1", "--seed", "2", "--out", files["data"], "--truth-out", files["truth"]]) == 0
+    assert main(["fit", files["data"], "--estimator", "pinv", "--out", files["lda"]]) == 0
+    assert main(["fit", files["data"], "--estimator", "nbayes", "--out", files["nbayes"]]) == 0
+    io.write_dataset_csv(files["unlabelled"], np.zeros((4, 200)))
+    io.write_dataset_csv(files["narrow"], np.zeros((4, 5)), [1, 2, 3, 1])
+    with open(files["badtruth"], "w") as fh:
+        fh.write("true directions: none\n")
+    return files
+
+
+def _replace_line(old, new):
+    return lambda lines: [new if ln == old else ln for ln in lines]
+
+
+def _zero_first_row_after(tag):
+    def edit(lines):
+        i = lines.index(tag) + 1
+        return [*lines[:i], " ".join("0" for _ in lines[i].split()), *lines[i + 1:]]
+    return edit
+
+
+@pytest.mark.parametrize(
+    "argv, edit, code, message",
+    [
+        (["cv", "{data}", "--lambda-grid", "abc"], None, 2,
+         "bad grid spec 'abc', expected lmax:n:decades"),
+        (["cv", "{data}", "--lambda-grid", "1:5:0"], None, 2, "decades must be positive"),
+        (["fit", "{unlabelled}", "--lambda", "1"], None, 2, "{unlabelled}: missing label column"),
+        (["diagnose", "{nbayes}", "{truth}", "{data}"], None, 2,
+         "diagnose needs a direction-based model"),
+        (["diagnose", "{lda}", "{truth}", "{narrow}"], None, 6,
+         "model, truth and data dimensions differ"),
+        (["diagnose", "{lda}", "{truth}", "{data}", "--zeta", "-1"], None, 2,
+         "zeta must be nonnegative"),
+        (["diagnose", "{lda}", "{badtruth}", "{data}"], None, 2,
+         "{badtruth}: not a truth file"),
+        (["predict", "{edited}", "{data}"], ("lda", _replace_line("means", "mean")), 2,
+         "{edited}: expected section 'means'"),
+        (["predict", "{edited}", "{data}"], ("lda", lambda lines: lines[:-5]), 2,
+         "{edited}: truncated file"),
+        (["predict", "{edited}", "{data}"],
+         ("lda", _replace_line("kind lda K 3 p 200 estimator pinv", "kind qda K 3 p 200 estimator pinv")), 2,
+         "{edited}: unknown model kind 'qda'"),
+        (["predict", "{edited}", "{data}"],
+         ("nbayes", _replace_line("kind nbayes K 3 p 200 estimator nbayes", "kind nbayes K 3 p 199 estimator nbayes")),
+         2, "{edited}: wrong mean dimension"),
+        (["predict", "{edited}", "{data}"], ("nbayes", _zero_first_row_after("variances")), 2,
+         "{edited}: variances must be positive"),
+        (["predict", "{edited}", "{data}"],
+         ("lda", _replace_line("kind lda K 3 p 200 estimator pinv", "kind lda K 3 p 199 estimator pinv")), 2,
+         "{edited}: direction and mean dimensions differ"),
+    ],
+    ids=["grid-spec", "grid-decades", "unlabelled-fit", "diagnose-nbayes", "diagnose-dimensions",
+         "diagnose-zeta", "truth-not-json", "model-section", "model-truncated", "model-kind",
+         "nbayes-dimension", "nbayes-zero-variances", "lda-dimension"],
+)
+def test_input_checks_exit_with_their_message(cli_inputs, tmp_path, capsys, argv, edit, code, message):
+    files = {**cli_inputs, "edited": str(tmp_path / "edited.txt")}
+    if edit is not None:
+        source, change = edit
+        with open(files[source]) as fh:
+            lines = fh.read().splitlines()
+        (tmp_path / "edited.txt").write_text("\n".join(change(lines)) + "\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([a.format(**files) for a in argv] + ["--out", str(out)]) == code
+    assert capsys.readouterr().err == f"error: {message.format(**files)}\n"
+    assert not out.exists()
+
+
+def _no_temp_files(directory):
+    return not [p for p in directory.iterdir() if p.name.startswith(".tmp-")]
+
+
+def test_output_path_that_is_a_directory_exit2(tmp_path, capsys):
+    train = tmp_path / "train.csv"
+    write_training_csv(train)
+    target = tmp_path / "model"
+    target.mkdir()
+    (target / "kept.txt").write_text("kept\n")
+    assert main(["fit", str(train), "--lambda", "1.3", "--out", str(target)]) == 2
+    assert capsys.readouterr().err == f"error: cannot open {target}: {os.strerror(errno.EISDIR)}\n"
+    assert [p.name for p in target.iterdir()] == ["kept.txt"]
+    assert (target / "kept.txt").read_text() == "kept\n"
+    assert _no_temp_files(tmp_path)
+
+
+def test_input_path_that_is_a_directory_exit2(tmp_path, capsys):
+    train = tmp_path / "train.csv"
+    write_training_csv(train)
+    model = tmp_path / "model.txt"
+    assert main(["fit", str(train), "--lambda", "1.3", "--out", str(model)]) == 0
+    capsys.readouterr()
+    data = tmp_path / "data"
+    data.mkdir()
+    out = tmp_path / "p.csv"
+    assert main(["predict", str(model), str(data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot open {data}: {os.strerror(errno.EISDIR)}\n"
+    assert not out.exists() and not list(data.iterdir())
+    assert _no_temp_files(tmp_path)
+
+
+def test_output_path_under_a_regular_file_exit2(tmp_path, capsys):
+    train = tmp_path / "train.csv"
+    write_training_csv(train)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    out = blocker / "m.txt"
+    assert main(["fit", str(train), "--lambda", "1.3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot open {out}: {os.strerror(errno.ENOTDIR)}\n"
+    assert blocker.read_text() == "kept\n"
+    assert _no_temp_files(tmp_path)
+
+
+def test_write_that_fails_part_way_exit2_naming_the_target(tmp_path):
+    """A write the system refuses after the temp file is made (past a file size limit) names the target."""
+    out, truth = tmp_path / "data.csv", tmp_path / "truth.json"
+    script = (
+        "import resource, signal, sys\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        "resource.setrlimit(resource.RLIMIT_FSIZE, (1000, 1000))\n"
+        "from glda.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(glda.__file__))}
+    argv = ["simulate", "sim1", "--out", str(out), "--truth-out", str(truth)]
+    run = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env)
+    assert run.returncode == 2
+    assert run.stderr == f"error: cannot open {out}: {os.strerror(errno.EFBIG)}\n"
+    assert not list(tmp_path.iterdir())

@@ -259,3 +259,21 @@ def test_dataset_immutable():
     d = two_class_1d()
     with pytest.raises(ValueError):
         d.features[0, 0] = 9.0
+
+
+@pytest.mark.parametrize(
+    "make, reason",
+    [
+        (lambda: Dataset(np.zeros(3), np.array([1, 2, 1])), "features must be a 2-d array"),
+        (lambda: Dataset(np.zeros((3, 1)), np.array([1, 2])), "labels must have one entry per sample"),
+        (lambda: Dataset(np.zeros((2, 0)), np.array([1, 2])), "need at least one sample and one feature"),
+        (lambda: Dataset(np.zeros((3, 1)), np.array([0, 1, 2])), "labels must be 1-based integers"),
+        (lambda: PooledScatter(factor=np.zeros(3)), "scatter factor must be a non-empty 2-d array"),
+        (lambda: DirectionSet(np.zeros(3)), "directions must form a 2-d matrix"),
+        (lambda: as_scatter(np.zeros((2, 3))), "scatter must be a non-empty square matrix"),
+    ],
+    ids=["features-1d", "label-count", "no-features", "label-zero", "factor-1d", "directions-1d", "scatter-shape"],
+)
+def test_model_validators(make, reason):
+    with pytest.raises(ValueError, match=reason):
+        make()

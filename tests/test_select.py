@@ -194,3 +194,8 @@ def test_soft_support_monotonicity_along_grid():
             total += 1
             good += a <= b
     assert good / total >= 0.9
+
+
+def test_lambda_grid_rejects_an_empty_grid():
+    with pytest.raises(ValueError, match="grid must be a nonempty vector"):
+        LambdaGrid(np.array([]))

@@ -266,3 +266,20 @@ def test_bayes_error_rejects_negative():
 def test_covariance_summary_invariant():
     with pytest.raises(ValueError):
         CovarianceSummary(plus_min=2.0, plus_max=1.0, minus_max=0.0)
+
+
+@pytest.mark.parametrize(
+    "make, reason",
+    [
+        (lambda: spec_from_directions(np.eye(3), np.zeros((3, 2)), (5, 5), 0),
+         "need one sample count per class and K-1 directions"),
+        (lambda: spec_from_directions(np.eye(3), np.zeros((4, 2)), (5, 5, 5), 0),
+         "directions and Sigma dimensions differ"),
+        (lambda: cone_condition_check(DirectionSet(np.zeros((3, 2))), DirectionSet(np.zeros((4, 2))), [0]),
+         "direction sets must have matching shapes"),
+    ],
+    ids=["class-count", "sigma-dimension", "cone-shapes"],
+)
+def test_simulate_validators(make, reason):
+    with pytest.raises(ValueError, match=reason):
+        make()

@@ -1369,3 +1369,25 @@ def test_concurrent_fits_match_sequential():
         threaded = list(pool.map(lambda lam: fit_grouped(S, D, lam)[0].matrix, lams))
     for a, b in zip(sequential, threaded):
         assert np.array_equal(a, b)
+
+
+def _theory_params(**changes):
+    base = dict(sigma_max_plus=1.0, delta_total=10.0, K=3, N=60, pi_bar=2.0, t=1.0)
+    return TheoreticalLambdaParams(**{**base, **changes})
+
+
+@pytest.mark.parametrize(
+    "make, reason",
+    [
+        (lambda: SolverReport(1, np.zeros(2), -1.0, "optimal"), "kkt_residual must be nonnegative"),
+        (lambda: _theory_params(sigma_max_plus=0.0), "parameters must be strictly positive"),
+        (lambda: _theory_params(t=-1.0), "t must be nonnegative"),
+        (lambda: _theory_params(N=3), "need N > K"),
+        (lambda: kkt_residual(np.eye(3), np.ones((2, 3)), 0.1, DirectionSet(np.zeros((3, 1)))),
+         "direction set shape does not match deltas"),
+    ],
+    ids=["negative-kkt", "zero-parameter", "negative-t", "n-not-above-k", "kkt-shape"],
+)
+def test_solvers_validators(make, reason):
+    with pytest.raises(ValueError, match=reason):
+        make()

@@ -19,7 +19,11 @@ and diff what two checkouts print. The hashed families are:
   ``fit`` with each of those at lambda 0.5, 1.3 and the one ``cv`` chose,
   ``fit`` with ``pinv`` and ``nbayes``, ``predict`` with the grouped model
   at the chosen lambda and with the ``nbayes`` model, and ``diagnose`` of
-  that grouped model. It covers every exit code, stdout and stderr (the
+  that grouped model; then runs that fail: ``cv --lambda-grid abc``
+  (exit 2), ``fit --lambda 0.5 --strict`` (exit 3), ``cv --folds 25``
+  (exit 5) and ``predict`` of that grouped model on a copy of the data cut
+  to 5 features (exit 6), which the tool writes. Exit 4 comes from ``lpd``
+  at lambda 0.5. It covers every exit code, stdout and stderr (the
   temporary directory masked) and every written file except the
   ``.<name>.glda-cache`` sidecars that reading a CSV leaves;
 * ``sample`` - the features and labels ``simulate.sample`` draws for
@@ -63,7 +67,7 @@ from pathlib import Path
 import numpy as np
 
 from glda import classify, cli, model, select, simulate, solvers
-from glda.io import write_dataset_csv
+from glda.io import read_dataset_csv, write_dataset_csv
 
 FIT_SEEDS = (*range(20), *range(58, 64))
 STUDY_GRID = (2.5, 14, 0.8)
@@ -219,6 +223,11 @@ def cli_digest(seeds=CLI_SEEDS):
                 _run(h, tmp, ["predict", model_file, data, "--out", str(tmp / f"pred{seed}-{name}.csv")])
             _run(h, tmp, ["diagnose", grouped, str(tmp / f"truth{seed}.json"), data,
                           "--out", str(tmp / f"diag{seed}.json")])
+            d, narrow = read_dataset_csv(data), str(tmp / f"narrow{seed}.csv")
+            write_dataset_csv(narrow, d.features[:, :5], d.labels)
+            for argv in (["cv", data, "--lambda-grid", "abc"], ["fit", data, "--lambda", "0.5", "--strict"],
+                         ["cv", data, "--folds", "25"], ["predict", grouped, narrow]):
+                _run(h, tmp, [*argv, "--out", str(tmp / f"failed{seed}.txt")])
         for path in sorted(tmp.iterdir()):
             if path.suffix != ".glda-cache":  # a CSV's parse, kept to speed up later reads
                 h.update(path.name.encode() + b"\n" + path.read_bytes())
