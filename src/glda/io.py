@@ -9,14 +9,13 @@ kernel writes the values that ``%.17g`` prints in fixed notation, zeros and
 1e-4 <= |x| < 1e17, where the 17-digit mantissa is an exact product of x
 and a power of ten, and Python's ``%`` formats every other value (those in
 exponent notation, and non-finite ones) and every label. With two usable
-CPUs or more, a large dataset table is split in half at a row: a helper
-thread formats the second half into an unlinked temp file while the
-writing thread formats the first and then appends the helper's part.
-Threads share the GIL, so there are never more than two writers, and
-nothing depends on ``fork``. An error or interrupt in the writing thread
-waits for the helper to format its half, then propagates; an error in the
-helper is raised in the writing thread. The bytes are the same, and no
-file or thread is left behind.
+CPUs or more, a large table is formatted in blocks, alternately by the
+writing thread and a helper thread, and the writing thread writes each
+block in order. Threads share the GIL, so there are never more than two
+writers, and nothing depends on ``fork``. An error or interrupt in the
+writing thread waits for the helper to finish its one block, then
+propagates; an error in the helper is raised in the writing thread. The
+bytes are the same, and no file or thread is left behind.
 
 Model files are line-oriented text with named sections (dimensions,
 priors, means, directions or variances) - diffable and language-agnostic.
@@ -37,10 +36,7 @@ import hashlib
 import itertools
 import json
 import os
-import shutil
 import stat
-import tempfile
-import threading
 from io import TextIOWrapper
 
 import numpy as np
@@ -111,10 +107,15 @@ def atomic_write_text(path: str, text: str) -> None:
 def write_dataset_csv(path, features, labels=None) -> None:
     """Write ``features`` (and ``labels``, when given) as a dataset CSV.
 
-    Raises ValueError, before any file is made, on non-finite features,
-    labels that are not whole numbers, or a label count unlike the row count.
+    Raises ValueError, before any file is made, on features that are not a
+    non-empty table of finite values, labels that are not whole numbers, or
+    a label count unlike the row count.
     """
-    X = np.atleast_2d(np.asarray(features, dtype=float))
+    X = np.atleast_2d(np.asarray(features, dtype=float))  # a 1-d input is one row
+    if X.ndim != 2:
+        raise ValueError("features must be a 2-d array")
+    if 0 in X.shape:
+        raise ValueError("need at least one sample and one feature")
     if not np.all(np.isfinite(X)):
         raise ValueError("features must be finite")
     names = [f"f{j + 1}" for j in range(X.shape[1])]
@@ -123,7 +124,7 @@ def write_dataset_csv(path, features, labels=None) -> None:
         names.insert(0, "label")
     with _atomic_open(path) as fh:
         fh.write(",".join(names).encode() + b"\n")
-        _write_table(fh, X, labels, os.path.dirname(os.path.abspath(path)))
+        _format_rows(fh, X, labels)
 
 
 def _whole_labels(labels, n):
@@ -166,20 +167,20 @@ _POINT = 18
 # one call.
 _BLOCK_VALUES = 6144
 
-# A split table is formatted in blocks of this many values, so that each
-# numpy call runs long enough to release the GIL to the other writer:
-# perfbench's wide-io set-up (write_wide) took 1.33 s per process at this
-# size against 1.57 s at _BLOCK_VALUES (medians of 8 alternated processes,
-# 2 cores, one BLAS thread). A block holds about 8 MB of temporaries, so
-# tables that are not split keep _BLOCK_VALUES.
+# A table written on two threads is cut into blocks of this many values,
+# so that each numpy call runs long enough to release the GIL to the other
+# thread: perfbench's wide-io set-up (write_wide) took 1.42 s per process
+# at this size against 1.67 s at _BLOCK_VALUES (medians of 10 alternated
+# processes, 2 cores, one BLAS thread). A block holds about 8 MB of
+# temporaries, so tables on one thread keep _BLOCK_VALUES.
 _SPLIT_BLOCK_VALUES = 32768
 
 # The kernel formats a value in about 0.175 us, against about 0.45 us for
 # "%" (measured on 600 x 2000 tables of normal data, 2 cores). A table of
-# at least twice this many values is split between the writing thread and
-# one helper thread, so each gets at least about 35 ms of formatting, where
-# starting the helper and its temp file costs about 0.12 ms. Threads share
-# the GIL, so there is one helper whatever the CPU count.
+# at least twice this many values is formatted on two threads, so each
+# gets at least about 35 ms of formatting, where starting and joining the
+# helper thread costs about 0.2 ms. Threads share the GIL, so there is one
+# helper whatever the CPU count.
 _WRITER_MIN_VALUES = 200_000
 
 
@@ -304,13 +305,33 @@ def _rows_text(X, sep, labels=None):
     return buf[_RUNS[start, end]]
 
 
-def _format_rows(fh, X, labels=None, lo=0, hi=None, sep=",", block=_BLOCK_VALUES):
-    """Write rows ``lo:hi`` of ``X`` to the binary handle ``fh``, ``block`` values a call (see _rows_text)."""
-    hi = len(X) if hi is None else hi
-    step = max(1, block // (X.shape[1] + (labels is not None)))
-    for start in range(lo, hi, step):
-        stop = min(start + step, hi)
-        fh.write(_rows_text(X[start:stop], sep, None if labels is None else labels[start:stop]))
+def _format_rows(fh, X, labels=None, sep=","):
+    """Write the rows of ``X`` to the binary handle ``fh`` (see _rows_text), on two threads if it pays.
+
+    A helper thread's error is raised here, and the helper is joined before
+    this returns or raises.
+    """
+    split = X.size >= 2 * _WRITER_MIN_VALUES and (  # the size first: small tables make no CPU probe
+        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) >= 2
+    step = max(1, (_SPLIT_BLOCK_VALUES if split else _BLOCK_VALUES) // (X.shape[1] + (labels is not None)))
+    starts = range(0, len(X), step)
+
+    def text(start):
+        return _rows_text(X[start:start + step], sep, None if labels is None else labels[start:start + step])
+
+    if not split:
+        for start in starts:
+            fh.write(text(start))
+        return
+    # imported here, not at the top: it loads logging, 6-9 ms and up to
+    # 0.25 MB that a process writing only small tables need not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as helper:  # leaving joins the helper, which holds one block at most
+        for start in starts[::2]:  # the helper formats each block after this thread's
+            later = helper.submit(text, start + step)  # empty after the last block when their count is odd
+            fh.write(text(start))
+            fh.write(later.result())
 
 
 def write_table(path, header, table, footer="") -> None:
@@ -319,40 +340,6 @@ def write_table(path, header, table, footer="") -> None:
         fh.write(header.encode())
         _format_rows(fh, np.asarray(table, dtype=float))
         fh.write(footer.encode())
-
-
-def _write_table(fh, X, labels, tmpdir):
-    """Format the rows of ``X`` into the binary handle ``fh``, on two threads if it pays.
-
-    A split table's second half goes to a helper thread, which formats it
-    into an unlinked temp file in ``tmpdir``; this thread formats the first
-    half into ``fh`` and then appends the helper's part. The helper is
-    joined before this returns or raises, and an exception it raised is
-    raised here.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if X.size < 2 * _WRITER_MIN_VALUES or cpus < 2:
-        _format_rows(fh, X, labels)
-        return
-    mid, failed = X.shape[0] // 2, []
-    with tempfile.TemporaryFile(dir=tmpdir, buffering=0) as part:
-
-        def helper():
-            try:
-                _format_rows(part, X, labels, mid, block=_SPLIT_BLOCK_VALUES)
-            except BaseException as exc:  # raised in the writing thread below
-                failed.append(exc)
-
-        thread = threading.Thread(target=helper, name="glda-csv-writer")
-        thread.start()
-        try:
-            _format_rows(fh, X, labels, 0, mid, block=_SPLIT_BLOCK_VALUES)
-        finally:
-            thread.join()  # bounded: the helper only formats its half in memory
-        if failed:
-            raise failed[0]
-        part.seek(0)
-        shutil.copyfileobj(part, fh, 1 << 20)
 
 
 def read_feature_csv(path):

@@ -126,6 +126,9 @@ def test_csv_malformed_inputs(tmp_path):
     ([[1.0], [2.0]], [1, np.nan], "whole numbers"),
     ([[1.0], [2.0]], [1], "one label per row"),
     ([[1.0], [2.0]], [1, 2, 3], "one label per row"),
+    (np.zeros((3, 0)), [1, 2, 1], "need at least one sample and one feature"),
+    (np.zeros((0, 3)), None, "need at least one sample and one feature"),
+    (np.zeros((2, 2, 2)), None, "features must be a 2-d array"),
 ])
 def test_csv_writer_rejects_bad_input_before_making_a_file(tmp_path, features, labels, match):
     with pytest.raises(ValueError, match=match):
@@ -180,28 +183,56 @@ def _savetxt_bytes(X, labels):
 
 @pytest.fixture
 def formatted(monkeypatch):
-    """Records each _format_rows call as (on a helper thread, lo, hi, block); the rows are still written."""
-    calls, real, here = [], io._format_rows, threading.get_ident()
+    """Records each _rows_text call as (on a helper thread, address of its rows, row count); the rows are still formatted."""
+    calls, real, here = [], io._rows_text, threading.get_ident()
 
-    def recorded(fh, X, labels=None, lo=0, hi=None, sep=",", block=io._BLOCK_VALUES):
-        calls.append((threading.get_ident() != here, lo, hi, block))
-        real(fh, X, labels, lo, hi, sep, block)
+    def recorded(X, sep, labels=None):
+        calls.append((threading.get_ident() != here, X.ctypes.data, len(X)))
+        return real(X, sep, labels)
 
-    monkeypatch.setattr(io, "_format_rows", recorded)
+    monkeypatch.setattr(io, "_rows_text", recorded)
     return calls
+
+
+def _blocks_by_thread(formatted, X):
+    """The blocks of ``X`` each thread formatted, as (first row, row count), in its order: (writing, helper).
+
+    An empty block has no first row: it is (None, 0).
+    """
+    blocks = {False: [], True: []}
+    for helper, address, rows in formatted:
+        blocks[helper].append(((address - X.ctypes.data) // X.strides[0] if rows else None, rows))
+    return blocks[False], blocks[True]
+
+
+def _blocks(rows, step):
+    """The blocks of ``step`` rows that a table of ``rows`` rows is cut into, as (first row, row count)."""
+    return [(start, min(step, rows - start)) for start in range(0, rows, step)]
+
+
+def _alternated(blocks):
+    """``blocks`` as the writing thread and the helper format them: (writing, helper)."""
+    return blocks[::2], blocks[1::2] + [(None, 0)] * (len(blocks) % 2)  # an odd count leaves the helper an empty block
+
+
+def _cpus(monkeypatch, count):
+    """Makes the CPU probe see ``count`` usable CPUs; returns the list its calls are recorded in."""
+    probes = []
+    monkeypatch.setattr(io.os, "sched_getaffinity", lambda pid: probes.append(pid) or set(range(count)))
+    return probes
 
 
 @pytest.mark.parametrize("labeled", [True, False])
 @pytest.mark.parametrize("cpus, other_thread, helpers", [(3, False, 1), (1, False, 0), (3, True, 1)])
 def test_large_csv_is_byte_identical_to_savetxt_on_any_writer_count(
         tmp_path, monkeypatch, formatted, labeled, cpus, other_thread, helpers):
-    monkeypatch.setattr(io.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    _cpus(monkeypatch, cpus)
     X, y = _large_table(3 * io._WRITER_MIN_VALUES // 500 + 7, 500)
     labels = y if labeled else None
     path = tmp_path / "d.csv"
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait, daemon=True)
-    if other_thread:  # another thread running does not stop the split
+    if other_thread:  # another thread running does not stop the helper
         thread.start()
     try:
         threads = threading.active_count()
@@ -212,24 +243,27 @@ def test_large_csv_is_byte_identical_to_savetxt_on_any_writer_count(
         if other_thread:
             thread.join(timeout=10)
     assert not thread.is_alive()
-    mid = len(X) // 2
-    assert sorted(formatted) == ([(False, 0, mid, io._SPLIT_BLOCK_VALUES), (True, mid, None, io._SPLIT_BLOCK_VALUES)]
-                                 if helpers else [(False, 0, None, io._BLOCK_VALUES)])
+    if helpers:
+        blocks = _blocks(len(X), io._SPLIT_BLOCK_VALUES // (500 + labeled))
+        assert len(blocks) % 2 == 1
+        assert _blocks_by_thread(formatted, X) == _alternated(blocks)
+    else:
+        assert _blocks_by_thread(formatted, X) == (_blocks(len(X), io._BLOCK_VALUES // (500 + labeled)), [])
     assert path.read_bytes() == _savetxt_bytes(X, labels)
     assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
 
 
-def _two_writer_table(tmp_path, monkeypatch):
-    monkeypatch.setattr(io.os, "sched_getaffinity", lambda pid: {0, 1})
+def _two_thread_table(tmp_path, monkeypatch):
+    _cpus(monkeypatch, 2)
     path = tmp_path / "d.csv"
     path.write_text("old\n")
     return path, np.ones((2 * io._WRITER_MIN_VALUES // 100, 100))
 
 
-def _in_writers(monkeypatch, writing, helper):
-    """Makes the row formatter call ``writing`` in the writing thread and ``helper`` in the helper."""
+def _in_threads(monkeypatch, writing, helper):
+    """Makes _rows_text call ``writing`` in the writing thread and ``helper`` in the helper."""
     here = threading.get_ident()
-    monkeypatch.setattr(io, "_format_rows", lambda *a, **k: writing() if threading.get_ident() == here else helper())
+    monkeypatch.setattr(io, "_rows_text", lambda *a: writing() if threading.get_ident() == here else helper())
 
 
 def _raise(exc):
@@ -243,8 +277,8 @@ def _leaves_nothing(path, tmp_path, threads):
 
 
 def test_failing_writer_thread_raises_and_leaves_nothing(tmp_path, monkeypatch):
-    path, X = _two_writer_table(tmp_path, monkeypatch)
-    _in_writers(monkeypatch, lambda: None, lambda: _raise(RuntimeError("boom")))
+    path, X = _two_thread_table(tmp_path, monkeypatch)
+    _in_threads(monkeypatch, lambda: b"", lambda: _raise(RuntimeError("boom")))
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="boom"):
         io.write_dataset_csv(path, X, np.ones(len(X), dtype=int))
@@ -252,23 +286,43 @@ def test_failing_writer_thread_raises_and_leaves_nothing(tmp_path, monkeypatch):
 
 
 def test_interrupted_write_joins_its_helper_and_leaves_nothing(tmp_path, monkeypatch):
-    path, X = _two_writer_table(tmp_path, monkeypatch)
+    path, X = _two_thread_table(tmp_path, monkeypatch)
     finished = []
-    _in_writers(monkeypatch, lambda: _raise(KeyboardInterrupt()), lambda: time.sleep(0.2) or finished.append(1))
+    _in_threads(monkeypatch, lambda: _raise(KeyboardInterrupt()), lambda: time.sleep(0.2) or finished.append(1) or b"")
     threads = threading.active_count()
     with pytest.raises(KeyboardInterrupt):
         io.write_dataset_csv(path, X)
-    assert finished == [1]  # the helper's half was waited for before the interrupt propagated
+    assert finished == [1]  # the helper's block was waited for, and no other was started
     _leaves_nothing(path, tmp_path, threads)
 
 
 def test_helper_that_cannot_start_fails_the_write_and_leaves_nothing(tmp_path, monkeypatch):
-    path, X = _two_writer_table(tmp_path, monkeypatch)
-    monkeypatch.setattr(io.threading.Thread, "start", lambda self: _raise(RuntimeError("can't start new thread")))
+    path, X = _two_thread_table(tmp_path, monkeypatch)
+    monkeypatch.setattr(threading.Thread, "start", lambda self: _raise(RuntimeError("can't start new thread")))
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="can't start"):
         io.write_dataset_csv(path, X)
     _leaves_nothing(path, tmp_path, threads)
+
+
+def test_large_write_table_uses_the_helper_and_writes_percent_text(tmp_path, monkeypatch, formatted):
+    _cpus(monkeypatch, 2)
+    X = _large_table(2 * io._WRITER_MIN_VALUES // 1000, 1000)[0]
+    path = tmp_path / "t.csv"
+    io.write_table(path, "head\n", X, "# foot\n")
+    assert _blocks_by_thread(formatted, X) == _alternated(_blocks(len(X), io._SPLIT_BLOCK_VALUES // 1000))
+    assert path.read_bytes() == ("head\n" + "".join(_percent_text(row) for row in X.tolist()) + "# foot\n").encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+def test_path_sized_table_is_formatted_by_the_writing_thread_alone(tmp_path, monkeypatch, formatted):
+    probes = _cpus(monkeypatch, 2)
+    X = np.random.default_rng(6).normal(size=(20_000, 5))  # 100,000 values, as sim1's `path` table holds
+    path = tmp_path / "t.csv"
+    io.write_table(path, "", X)
+    assert _blocks_by_thread(formatted, X) == (_blocks(len(X), io._BLOCK_VALUES // 5), [])
+    assert probes == []  # the size alone rules the helper out
+    assert path.read_bytes() == "".join(_percent_text(row) for row in X.tolist()).encode()
 
 
 # --- the %.17g kernel ---------------------------------------------------------

@@ -40,11 +40,15 @@ and diff what two checkouts print. The hashed families are:
   labelled and unlabelled: the 40 floats on each side of every power of
   ten from 1e-12 to 1e19, values that lie half-way between two 17-digit
   decimals, 9.9999999999999995e-07 (the double nearest 1e-6), subnormals,
-  zeros and the largest float, each with both signs. The wide tables are
-  large enough to be split between the writing thread and a helper thread
-  on a machine with more than one usable CPU, and the design-1 table is
-  small enough to be formatted by the writing thread alone, so the hash
-  covers both paths.
+  zeros and the largest float, each with both signs. On a machine with
+  more than one usable CPU, the wide tables are large enough to be
+  formatted in blocks alternately by the writing thread and a helper
+  thread, and the design-1 table is small enough to be formatted by the
+  writing thread alone, so the hash covers both paths;
+* ``table`` - the bytes ``write_table`` writes, with a header and a
+  footer, for that 600 x 1000 boundary table (large enough for the
+  helper thread) and for a 3 x 5 table (formatted by the writing thread
+  alone).
 
 Numbers are hashed as their float64 bytes, so any change in the last bit
 shows. Reports hash the iteration count, KKT residual, status and ray;
@@ -67,7 +71,7 @@ from pathlib import Path
 import numpy as np
 
 from glda import classify, cli, model, select, simulate, solvers
-from glda.io import read_dataset_csv, write_dataset_csv
+from glda.io import read_dataset_csv, write_dataset_csv, write_table
 
 FIT_SEEDS = (*range(20), *range(58, 64))
 STUDY_GRID = (2.5, 14, 0.8)
@@ -190,6 +194,18 @@ def csv_digest():
     return h.hexdigest()
 
 
+def table_digest():
+    """Hash of the tables ``write_table`` writes for the boundary table and a small one."""
+    small = np.resize(boundary_values()[::97], (3, 5))
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as name:
+        path = Path(name) / "t.csv"
+        for table in (np.resize(boundary_values(), (600, 1000)), small):
+            write_table(path, "a,b\n", table, "# end,1\n")
+            h.update(path.read_bytes() + b"|")
+    return h.hexdigest()
+
+
 def _run(h, tmp, argv):
     # hashes the command, its exit code and both streams; returns stdout
     out, err = io.StringIO(), io.StringIO()
@@ -239,6 +255,7 @@ def main():
     digests["sample"] = sample_digest()
     digests["spectral"] = spectral_digest()
     digests["csv"] = csv_digest()
+    digests["table"] = table_digest()
     digests["cli"] = cli_digest()
     for name, value in {**digests, **counts}.items():
         print(f"{name:<18} {value}")
