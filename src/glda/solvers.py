@@ -6,17 +6,20 @@ Three routes to the discriminant directions:
   per-feature (row-wise) Euclidean norm penalty, solved by accelerated
   proximal gradient with function-value adaptive restart, and finished by
   Newton's method on the stationarity equations of the support once that
-  support has settled. A fit whose KKT conditions hold at zero, that is
+  support has settled, an attempt that repairs its support a few times
+  (drop the rows the solve reverses, add the zero rows that break their
+  bound) before it gives up. A fit whose KKT conditions hold at zero, that is
   lambda >= max_j ||delta_j||, ends there before the first iteration.
 * ``fit_single_lasso`` - one direction at a time under an l1 penalty: the
   grouped problem with a single direction, so one-entry groups.
 * ``fit_lpd``       - one direction at a time, minimum l1 norm subject to an
   l-infinity residual box, solved as a linear program by the internal
-  dense simplex, which keeps its tableau as constraint rows are activated
-  and resumes from the last basis. When S is singular an empty box is
-  first looked for with the ``single`` engine; otherwise the simplex's
-  constraint activation starts from the rows violated at 0 plus the
-  support of that ``single`` fit. Every ``LpInfeasibleError`` carries a
+  dense simplex, which keeps its tableau as constraint rows are activated,
+  one side of a feature's box at a time, and resumes from the last basis.
+  When S is singular an empty box is first looked for with the ``single``
+  engine; otherwise the simplex's constraint activation starts from the
+  sides violated at 0 and the sides that the support of that ``single``
+  fit makes tight. Every ``LpInfeasibleError`` carries a
   null-space Farkas ray as ``ray``, whether the ``single`` engine or the
   simplex found the box empty.
 
@@ -62,6 +65,9 @@ _KKT_EXIT = 1e-6
 # Iterations the support must hold still before the first Newton attempt;
 # each attempt that does not land doubles it.
 _NEWTON_STEADY = 3
+
+# Active-set repairs one Newton attempt may make, each followed by a solve.
+_NEWTON_REPAIRS = 4
 
 # A projected ray certifies an unbounded objective when its gain per unit
 # norm exceeds this fraction of ||G||, the largest gain any unit ray can have.
@@ -158,11 +164,9 @@ def _row_norms(M):
     return np.sqrt(np.add.reduce(M * M, axis=1))
 
 
-def _grouped_objective(S, X, G, lam, FX=None, norms=None):
-    # the proximal-gradient loop passes FX = F @ X and the row norms of X,
+def _grouped_objective(FX, X, G, lam, norms=None):
+    # FX = F @ X; the proximal-gradient loop also passes the row norms of X,
     # which its proximal step already knows
-    if FX is None:
-        FX = S.factor @ X
     if norms is None:
         norms = _row_norms(X)
     return 0.5 * float(np.vdot(FX, FX)) - float(np.vdot(G, X)) + lam * float(norms.sum())
@@ -170,11 +174,17 @@ def _grouped_objective(S, X, G, lam, FX=None, norms=None):
 
 def _grouped_kkt(S, X, G, lam, FX=None):
     R = (S.dot(X) if FX is None else S.factor.T @ FX) - G
+    return float(_kkt_rows(R, X, lam).max(initial=0.0))
+
+
+def _kkt_rows(R, X, lam):
+    # each row's violation of stationarity, given the residual R = S X - G:
+    # ||R_j + lam u_j|| on a nonzero row, (||R_j|| - lam)_+ on a zero row
     rn = _row_norms(X)
     active = rn > 0
     # on a zero row the adjusted residual is R itself
     nrm = _row_norms(R + np.divide(lam, rn, out=np.zeros(rn.shape), where=active)[:, None] * X)
-    return float(np.where(active, nrm, np.maximum(nrm - lam, 0.0)).max(initial=0.0))
+    return np.where(active, nrm, np.maximum(nrm - lam, 0.0))
 
 
 def _prox_rows(Z, thr):
@@ -241,7 +251,8 @@ def _recession_ray(S, G, lam, *candidates):
 
 
 def _support_newton(S, X, G, lam, active, fx):
-    """Newton's method on the stationarity equations of the rows ``active``.
+    """Newton's method on the stationarity equations of the rows ``active``,
+    with the row set repaired between rounds.
 
     On the active rows A the penalty is smooth, and stationarity reads
     S_AA X_A - G_A + lam U_A = 0 with U_A the unit row directions. Its
@@ -250,54 +261,83 @@ def _support_newton(S, X, G, lam, active, fx):
     step from X lands on the solution Z_A of H vec(Z_A) = vec(G_A - lam U_A).
     With one direction u_j = sign(b_j), so the block term is exactly zero
     and one step is the exact lasso solve S_AA b = delta_A - lam
-    sign(b_A). With more, steps repeat from Z while each at least
-    halves the KKT residual of the one before, which quadratic convergence
-    on the right support does and a wrong support does not. H has rank at
-    most K' rank(S) + |A| (K' - 1), so it is singular when |A| > K' rank(S),
-    and no step is tried then.
+    sign(b_A). With more, steps repeat from Z while each at least halves
+    the KKT residual of the one before and turns no row by a right angle or
+    more, which quadratic convergence on the right support does and a wrong
+    support does not. H has rank at most K' rank(S) + |A| (K' - 1), so it
+    is singular when |A| > K' rank(S), and no step is tried then.
+
+    That is one round. A round whose last point fails the KKT gate repairs
+    the set, as a working-set method does: it keeps each row whose solved
+    direction still agrees with the one its last step started from
+    (<Z_j, X_j> > 0), and adds each zero row whose residual row norm
+    ||(S Z - G)_j|| exceeds lam, started along -(S Z - G)_j at the
+    minimiser of its own block with every other row held fixed. The next
+    round starts from Z on the rows kept. One residual per point serves
+    both the KKT gate and the rows to add. The attempt stops when a repair
+    leaves the set as it was or after ``_NEWTON_REPAIRS`` repairs, and the
+    rank guard and both gates below apply to every round.
 
     Returns (Z, f(Z)) for the first finite Z whose KKT residual is at most
     ``_KKT_EXIT``, if its objective is at most ``fx``; otherwise None.
     """
-    a, k = int(np.count_nonzero(active)), X.shape[1]
-    if not 0 < a <= k * S.rank:
-        return None
-    idx = np.flatnonzero(active)
-    FA = S.factor[:, idx]
-    S_AA = FA.T @ FA
-    eye, rows = np.eye(k), np.arange(a)
-    SxI = np.zeros((a, k, a, k))  # S_AA (x) I, indexed (row, column) twice
-    for j in range(k):
-        SxI[:, j, :, j] = S_AA
-    ZA, last = X[idx], math.inf
+    F, k = S.factor, X.shape[1]
+    eye, W = np.eye(k), X
     # a finite but tiny row or huge Z may overflow; the checks below reject it
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        while True:
-            nrm = _row_norms(ZA)
-            if not np.all(nrm > 0.0):
+        for _ in range(_NEWTON_REPAIRS + 1):
+            idx = np.flatnonzero(active)
+            a = idx.size
+            if not 0 < a <= k * S.rank:
                 return None
-            U = ZA / nrm[:, None]
-            H = SxI.copy()
-            H[rows, :, rows, :] += (lam / nrm)[:, None, None] * (
-                eye - U[:, :, None] * U[:, None, :]
-            )
-            try:
-                ZA = np.linalg.solve(
-                    H.reshape(a * k, a * k), (G[idx] - lam * U).reshape(-1)
-                ).reshape(a, k)
-            except np.linalg.LinAlgError:
+            FA = F[:, idx]
+            S_AA = FA.T @ FA
+            rows = np.arange(a)
+            SxI = np.zeros((a, k, a, k))  # S_AA (x) I, indexed (row, column) twice
+            for j in range(k):
+                SxI[:, j, :, j] = S_AA
+            ZA, last = W[idx], math.inf
+            while True:
+                nrm = _row_norms(ZA)
+                U = ZA / nrm[:, None]
+                H = SxI.copy()
+                H[rows, :, rows, :] += (lam / nrm)[:, None, None] * (
+                    eye - U[:, :, None] * U[:, None, :]
+                )
+                try:
+                    ZN = np.linalg.solve(
+                        H.reshape(a * k, a * k), (G[idx] - lam * U).reshape(-1)
+                    ).reshape(a, k)
+                except np.linalg.LinAlgError:
+                    return None
+                if not np.all(np.isfinite(ZN)):
+                    return None
+                Z = np.zeros_like(X)
+                Z[idx] = ZN
+                FZ = F @ Z
+                R = F.T @ FZ - G
+                viol = _kkt_rows(R, Z, lam)
+                res = float(viol.max())
+                if res <= _KKT_EXIT:
+                    fz = _grouped_objective(FZ, Z, G, lam)
+                    return (Z, fz) if fz <= fx else None
+                keep = np.einsum("ij,ij->i", ZN, ZA) > 0.0
+                # with one direction and no sign flipped, a step would repeat this one
+                if not (k > 1 and res <= 0.5 * last and keep.all()):
+                    break
+                ZA, last = ZN, res
+            # on a zero row of Z the violation is (||R_j|| - lam)_+
+            add = ~active & (viol > 0.0)
+            if keep.all() and not add.any():
                 return None
-            if not np.all(np.isfinite(ZA)):
-                return None
-            Z = X.copy()  # the rows off the support are the iterate's zeros
-            Z[idx] = ZA
-            res = _grouped_kkt(S, Z, G, lam)
-            if res <= _KKT_EXIT:
-                fz = _grouped_objective(S, Z, G, lam)
-                return (Z, fz) if fz <= fx else None
-            if not res <= 0.5 * last:
-                return None
-            last = res
+            active = add.copy()
+            active[idx[keep]] = True
+            # an added row starts along -R_j, at the minimiser of its own
+            # block with every other row held fixed
+            Ra, S_jj = R[add], np.add.reduce(F[:, add] ** 2, axis=0)
+            W = Z.copy()
+            W[add] = -(1.0 - lam / _row_norms(Ra))[:, None] * Ra / S_jj[:, None]
+    return None
 
 
 def _proximal_gradient(S, G, lam):
@@ -326,14 +366,19 @@ def _proximal_gradient(S, G, lam):
     Once the support (the rows the proximal step keeps) has held still for
     a few iterations and differs from the last support tried, Newton's
     method on the stationarity equations of that support is tried
-    (``_support_newton``). It ends the run as ``optimal`` only if its point
-    is finite, its objective is at most the last iterate's and it passes
-    the same KKT exit as the iterates; its objective joins the trace. Each
-    attempt that does not land doubles the steady run the next one needs,
-    so a support that keeps moving costs O(log _MAX_ITER) attempts. The
-    iterates never take the Newton point, so a run on which no attempt
-    lands is the plain accelerated run, and it ends ``max_iter`` at the
-    budget. Returns the p x K' solution and its SolverReport.
+    (``_support_newton``), starting from the iterate. When its point fails
+    the KKT exit, the attempt repairs the support itself: it drops the rows
+    whose direction the solve reversed, adds the zero rows that break
+    their subgradient bound and solves again, up to ``_NEWTON_REPAIRS``
+    times, so an iterate whose support is a few rows off still lands. It
+    ends the run as ``optimal`` only if its point is finite, its objective
+    is at most the last iterate's and it passes the same KKT exit as the
+    iterates; its objective joins the trace. Each attempt that does not
+    land doubles the steady run the next one needs, so a support that
+    keeps moving costs O(log _MAX_ITER) attempts. The iterates never take
+    the Newton point, so a run on which no attempt lands is the plain
+    accelerated run, and it ends ``max_iter`` at the budget. Returns the
+    p x K' solution and its SolverReport.
     """
     scale = max(float(np.abs(G).max(initial=0.0)), lam)
     x = np.zeros_like(G)
@@ -355,7 +400,7 @@ def _proximal_gradient(S, G, lam):
     x_check = y = x
     Fx = Fy = F @ x
     t = 1.0
-    fx = _grouped_objective(S, x, Gs, ls, Fx)
+    fx = _grouped_objective(Fx, x, Gs, ls)
     trace = [fx]
     status, ray = "max_iter", None
     iterations = 0
@@ -365,13 +410,13 @@ def _proximal_gradient(S, G, lam):
         iterations = m
         xn, keep, nrm = _prox_rows(y - (F.T @ Fy - Gs) / L, thr)
         Fxn = F @ xn
-        fn = _grouped_objective(S, xn, Gs, ls, Fxn, nrm)
+        fn = _grouped_objective(Fxn, xn, Gs, ls, nrm)
         if fn > fx:
             # restart: a proximal step from x with the exact L cannot increase f
             t = 1.0
             xn, keep, nrm = _prox_rows(x - (F.T @ Fx - Gs) / L, thr)
             Fxn = F @ xn
-            fn = _grouped_objective(S, xn, Gs, ls, Fxn, nrm)
+            fn = _grouped_objective(Fxn, xn, Gs, ls, nrm)
         tn = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
         beta = (t - 1.0) / tn
         y = xn + beta * (xn - x)
@@ -445,22 +490,27 @@ def fit_single_lasso(S, delta, lam):
 def fit_lpd(S, delta, lam):
     """Minimum-l1 direction subject to |S b - delta|_inf <= lam.
 
-    Solved as a linear program over the split b = u - v (2p variables,
-    two inequality rows per feature) with the internal dense simplex.
-    Constraint rows are activated lazily: start from the rows violated at
-    b = 0, then append the rows of whatever the current iterate violates
-    (by more than a relative 1e-9 of lam) and resume from the last basis,
-    until the full constraint box holds, which yields the exact LP optimum.
+    Solved as a linear program over the split b = u - v (2p variables, up
+    to two inequality rows per feature: S_j b - delta_j <= lam and its
+    mirror) with the internal dense simplex. Constraint rows are activated
+    lazily and one side at a time: start from the side each feature
+    violates at b = 0 (the mirror where delta_j > lam, the upper row where
+    delta_j < -lam), then append just the side of each row the current
+    iterate breaks (by more than a relative 1e-9 of lam) and resume from
+    the last basis, until the full constraint box holds, which yields the
+    exact LP optimum. A side that does not bind there never enters.
 
     By Farkas' lemma the box is empty exactly when some u with S u = 0 has
     <delta, u> > lam |u|_1, which is the ray that certifies the ``single``
     objective unbounded at the same lam. So when S is singular that fit
     runs first, and an ``unbounded`` ending raises LpInfeasibleError with
     the unit vector u as its ``ray``. Any other ending also seeds the
-    activation: the rows of its support join the rows violated at 0. At a
-    lasso optimum those rows are tight, |S b - delta|_j = lam, which is
-    where the box binds; the seed only saves activation rounds, since the
-    loop still adds every row the LP solution breaks. The simplex then
+    activation: each feature of its support enters on the side its sign
+    makes tight, the mirror for b_j > 0 and the upper row for b_j < 0, in
+    place of the side violated at 0. At a lasso optimum S_j b - delta_j =
+    -lam sign(b_j), which is where the box binds; the seed only saves
+    activation rounds, since the loop still adds every side the LP
+    solution breaks. The simplex then
     decides. Its proof of an empty box, y >= 0 over the appended rows with
     y'A >= 0 and y'b < 0, maps to u = y_- - y_+ through each row's feature
     and sign (y_+ on the rows S_j b - delta_j <= lam, y_- on their mirrors):
@@ -476,26 +526,31 @@ def fit_lpd(S, delta, lam):
     p, F = S.p, S.factor
     d = G[:, 0]
 
-    active = np.abs(d) > lam
-    if not active.any():
+    # the binding side of each feature's box: +1 for S_j b - delta_j <= lam,
+    # -1 for its mirror, 0 for neither. At b = 0 a row binds on the side
+    # opposite delta_j's sign, and at a lasso optimum on the side opposite b_j's
+    side = -np.sign(d) * (np.abs(d) > lam)
+    if not side.any():
         return np.zeros(p)
     if S.has_null_space:
         seed, report = fit_single_lasso(S, d, lam)
         if report.status == "unbounded":
             raise LpInfeasibleError("LPD infeasible at this lambda", ray=report.ray)
-        active |= seed != 0
+        side = np.where(seed != 0, -np.sign(seed), side)
     lp = InequalityLP(2 * p)
     feature, sign = np.zeros(0, dtype=int), np.zeros(0)
-    new = active
+    appended = np.zeros((2, p), dtype=bool)  # the upper rows, then their mirrors
+    new = np.vstack([side > 0, side < 0])
+    tol = lam * (1.0 + 1e-9)
     while True:
-        idx = np.flatnonzero(new)
-        rows = F[:, idx].T @ F
-        A = np.vstack([np.hstack([rows, -rows]), np.hstack([-rows, rows])])
-        b = np.concatenate([lam + d[idx], lam - d[idx]])
-        feature = np.concatenate([feature, idx, idx])
-        sign = np.concatenate([sign, np.ones(idx.size), -np.ones(idx.size)])
+        appended |= new
+        mirror, idx = np.nonzero(new)
+        s = 1.0 - 2.0 * mirror
+        rows = s[:, None] * (F[:, idx].T @ F)
+        feature = np.concatenate([feature, idx])
+        sign = np.concatenate([sign, s])
         try:
-            x = lp.append(A, b)
+            x = lp.append(np.hstack([rows, -rows]), lam + s * d[idx])
         except LpInfeasibleError as exc:
             u = np.bincount(feature, weights=-sign * exc.ray, minlength=p)
             ray = _recession_ray(S, G, lam, u[:, None])
@@ -503,10 +558,10 @@ def fit_lpd(S, delta, lam):
                 raise LpNumericalError("simplex infeasibility proof failed its check") from None
             raise LpInfeasibleError("LPD infeasible at this lambda", ray=ray[:, 0]) from None
         beta = x[:p] - x[p:]
-        new = (np.abs(S.dot(beta) - d) > lam * (1.0 + 1e-9)) & ~active
+        r = S.dot(beta) - d
+        new = np.vstack([r > tol, r < -tol]) & ~appended
         if not new.any():
             return beta
-        active |= new
 
 
 def fit_directions(estimator, S, deltas, lam):

@@ -53,8 +53,8 @@ def test_output_digest_runs_and_repeats():
     assert len(hashes) == 7
     # seed 0 gives 14 grouped fits, 28 single fits and 28 LPD fits
     assert counts == {
-        "grouped.counts": "optimal=9 unbounded=5 max_iter=0 iterations=247",
-        "single.counts": "optimal=20 unbounded=8 max_iter=0 iterations=730",
+        "grouped.counts": "optimal=9 unbounded=5 max_iter=0 iterations=180",
+        "single.counts": "optimal=20 unbounded=8 max_iter=0 iterations=578",
         "lpd.counts": "solved=20 infeasible=8 numerical=0",
     }
     assert digest.sample_digest(seeds=(0,)) == digest.sample_digest(seeds=(0,))

@@ -331,11 +331,54 @@ def test_support_newton_gate_on_a_hand_lasso():
     Z, f = solvers._support_newton(S, X, G, lam, both, np.inf)
     assert np.allclose(Z[:, 0], [2.0, 1.5], rtol=0, atol=1e-15)
     assert f == pytest.approx(-4.25, abs=1e-15)
-    # a point above the last objective, a wrong support, a singular block
+    # a wrong support is repaired: the solve on row 0 leaves row 1 with
+    # residual 4 > lam, which joins at its own block's minimiser and lands
+    Z, f = solvers._support_newton(S, X, G, lam, np.array([True, False]), np.inf)
+    assert np.allclose(Z[:, 0], [2.0, 1.5], rtol=0, atol=1e-15)
+    assert f == pytest.approx(-4.25, abs=1e-15)
+    # a point above the last objective, a singular block
     assert solvers._support_newton(S, X, G, lam, both, f - 1.0) is None
-    assert solvers._support_newton(S, X, G, lam, np.array([True, False]), np.inf) is None
     flat = as_scatter(np.ones((2, 2)))
     assert solvers._support_newton(flat, X, G, lam, both, np.inf) is None
+
+
+def test_support_newton_drops_a_row_whose_sign_flips():
+    # S = I, delta = (3, 0.5), lam = 1: the minimiser is (2, 0). The solve
+    # on both rows with the iterate's signs (+, +) gives (2, -0.5); row 1
+    # turned over, so it is dropped, and the solve on row 0 lands
+    S = as_scatter(np.eye(2))
+    G = np.array([[3.0], [0.5]])
+    X = np.array([[0.5], [0.1]])
+    Z, f = solvers._support_newton(S, X, G, 1.0, np.array([True, True]), np.inf)
+    assert np.array_equal(Z[:, 0], [2.0, 0.0])
+    assert f == -2.0
+
+
+def test_support_newton_stops_at_its_repair_cap(monkeypatch):
+    # a chain S = tridiag(-0.4, 1, -0.4) with delta = 10 e_1 at lam = 0.05:
+    # the minimiser has 7 nonzero rows, and from row 0 alone each repair
+    # adds one row, so the attempt runs out of repairs after cap + 1 solves
+    p = 8
+    S = as_scatter(np.eye(p) - 0.4 * (np.eye(p, k=1) + np.eye(p, k=-1)))
+    G = np.zeros((p, 1))
+    G[0] = 10.0
+    lam = 0.05
+    X = np.zeros((p, 1))
+    X[0] = 1.0
+    first = X[:, 0] != 0
+    solve = np.linalg.solve
+    sizes = []
+    monkeypatch.setattr(np.linalg, "solve", lambda H, b: sizes.append(H.shape[0]) or solve(H, b))
+    assert solvers._support_newton(S, X, G, lam, first, np.inf) is None
+    assert sizes == list(range(1, solvers._NEWTON_REPAIRS + 2))
+    # with room for six repairs it lands on the exact lasso solve of rows 0-6
+    sizes.clear()
+    monkeypatch.setattr(solvers, "_NEWTON_REPAIRS", 6)
+    Z, _ = solvers._support_newton(S, X, G, lam, first, np.inf)
+    assert sizes == list(range(1, 8))
+    ref = solve(S.matrix[:7, :7], G[:7, 0] - lam)
+    assert np.all(ref > 0) and Z[7, 0] == 0.0
+    assert np.abs(Z[:7, 0] - ref).max() <= 1e-14 * ref.max()
 
 
 def test_landed_single_step_is_the_exact_support_solve(monkeypatch):
@@ -431,19 +474,38 @@ def test_newton_solves_no_system_beyond_the_rank_bound(monkeypatch):
 
 
 def test_hard_bounded_fit_backs_off_its_newton_attempts(monkeypatch):
-    # design 1, seed 61, lam = 0.698 has a finite minimiser (max_iter=50000
-    # reaches it after 25,322 iterations, with 94 active rows), but its
-    # support keeps moving through the default budget: the run may not end
-    # worse than the plain run's max_iter at KKT residual 1.03e-4, and the
-    # doubling backoff keeps its attempts within log2(max_iter)
+    # design 1, seed 61, lam = 0.698 has a finite minimiser with 94 active
+    # rows (max_iter=50000 reaches it after 25,322 plain iterations), and
+    # its support keeps growing: without the repair every attempt missed
+    # and the run ended max_iter at KKT residual 1.03e-4. The repair lands
+    # an attempt, and the doubling backoff keeps the attempts within
+    # log2(max_iter)
     S, D, grid = next(_study_problems([61]))
     lam = float(grid[9])
     assert lam == pytest.approx(0.698, abs=5e-4)
     attempts = _newton_spy(monkeypatch)
-    _, rep = fit_grouped(S, D, lam)
-    assert rep.status in ("optimal", "max_iter")
-    assert rep.kkt_residual <= 1.03e-4
+    X, rep = fit_grouped(S, D, lam)
+    assert rep.status == "optimal" and attempts[-1][2]
+    assert rep.kkt_residual <= solvers._KKT_EXIT * max(np.abs(D).max(), lam)
     assert 0 < len(attempts) <= np.log2(solvers._MAX_ITER)
+    assert X.joint_support().size == 94
+
+
+def test_newton_lands_on_its_first_attempt_on_the_study_grid(monkeypatch):
+    # the repair lands almost every fit that Newton finishes on the first
+    # attempt: 132 of 137 grouped and single fits at study seeds 0-4 (the
+    # attempt without the repair landed first in 82 of 135)
+    attempts = _newton_spy(monkeypatch)
+    firsts = []
+    for S, D, grid in _study_problems(range(5)):
+        for lam in grid:
+            for fit, deltas in [(fit_grouped, D), *((fit_single_lasso, delta) for delta in D)]:
+                attempts.clear()
+                fit(S, deltas, float(lam))
+                if any(landed for *_, landed in attempts):
+                    firsts.append(attempts[0][2])
+    assert len(firsts) > 100
+    assert np.mean(firsts) >= 0.95
 
 
 def _singular_solve(H, b):
@@ -462,10 +524,10 @@ def _zero_row_solve(H, b, solve=np.linalg.solve):
 
 @pytest.mark.parametrize("patch", [_singular_solve, _overflowed_solve, _zero_row_solve])
 def test_newton_bail_outs_leave_the_plain_run_to_finish(monkeypatch, patch):
-    # design 1, seed 0, at the criterion grid's best point: the second
-    # Newton attempt lands (on 3 of 4 rows). A solve that fails, overflows
-    # or zeroes a row makes every attempt bail out after its one solve, and
-    # the accelerated run reaches the same optimum by itself
+    # design 1, seed 0, at the criterion grid's best point: the first
+    # Newton attempt, at iteration 4 on 4 rows, drops one and lands on 3. A
+    # solve that fails, overflows or zeroes a row makes every attempt bail
+    # out, and the accelerated run reaches the same optimum by itself
     S, D, grid = next(_study_problems([0]))
     lam = float(grid[4])
     assert lam == pytest.approx(1.418, abs=5e-4)
@@ -477,7 +539,11 @@ def test_newton_bail_outs_leave_the_plain_run_to_finish(monkeypatch, patch):
     monkeypatch.setattr(np.linalg, "solve", lambda H, b: solves.append(1) or patch(H, b))
     _, rep = fit_grouped(S, D, lam)
     assert attempts and not any(landed for *_, landed in attempts)
-    assert len(solves) == len(attempts)  # each bailed out at its first step
+    # a failed or overflowed solve ends its attempt at once; a zeroed row
+    # is dropped and the set solved again, and as every solve zeroes a row
+    # again each attempt runs until its repairs are spent
+    per_attempt = solvers._NEWTON_REPAIRS + 1 if patch is _zero_row_solve else 1
+    assert len(solves) == per_attempt * len(attempts)
     assert rep.status == ref.status
     assert rep.kkt_residual <= solvers._KKT_EXIT * max(np.abs(D).max(), lam)
     f, f_ref = rep.objective_trace[-1], ref.objective_trace[-1]
@@ -784,7 +850,7 @@ def test_lpd_seed_enters_the_first_lp_and_saves_simplex_calls(monkeypatch):
     lam = float(grid[9])
     assert lam == pytest.approx(0.698, abs=5e-4)
     real_pg, real_lp = solvers._proximal_gradient, solvers.InequalityLP.append
-    seeds, lps = [], []
+    seeds, lps, sols = [], [], []
 
     def pg_spy(*args):
         X, report = real_pg(*args)
@@ -792,8 +858,10 @@ def test_lpd_seed_enters_the_first_lp_and_saves_simplex_calls(monkeypatch):
         return X, report
 
     def lp_spy(lp, A, b):
-        lps.append(A)
-        return real_lp(lp, A, b)
+        lps.append((A, b))
+        x = real_lp(lp, A, b)
+        sols.append(x)
+        return x
 
     monkeypatch.setattr(solvers, "_proximal_gradient", pg_spy)
     monkeypatch.setattr(solvers.InequalityLP, "append", lp_spy)
@@ -809,28 +877,41 @@ def test_lpd_seed_enters_the_first_lp_and_saves_simplex_calls(monkeypatch):
         (seed,) = seeds
         support = np.flatnonzero(seed)
         assert support.size > 0
-        A = lps[0]
-        h = A.shape[0] // 2
-        # row i of the first LP is the box row S_j b - delta_j <= lam of
-        # feature j; row h + i is its mirror -S_j b + delta_j <= lam
-        dist = np.abs(A[:h, None, :p] - M[None, :, :]).max(axis=2)
-        rows = dist.argmin(axis=1)
-        assert np.all(dist[np.arange(h), rows] <= 1e-12 * np.abs(M).max())
-        assert set(support) <= set(rows)
-        assert np.array_equal(A[h:, :p], -A[:h, :p])
+        A, b = lps[0]
+        # row i of the first LP is one side s (S_j b - delta_j) <= lam of
+        # feature j's box: the side the seed's sign makes tight on its
+        # support, the side violated at b = 0 elsewhere, one row per feature
+        dist = np.abs(A[:, None, :p] - np.vstack([M, -M])[None]).max(axis=2)
+        hit = dist.argmin(axis=1)
+        assert np.all(dist[np.arange(hit.size), hit] <= 1e-12 * np.abs(M).max())
+        rows, s = hit % p, np.where(hit < p, 1.0, -1.0)
+        assert np.array_equal(A[:, p:], -A[:, :p])
+        assert np.array_equal(b, lam + s * delta[rows])
+        assert np.array_equal(np.sort(rows), np.unique(rows))
+        side = np.where(seed != 0, -np.sign(seed), -np.sign(delta) * (np.abs(delta) > lam))
+        assert np.array_equal(np.sort(rows), np.flatnonzero(side))
+        assert np.array_equal(s, side[rows])
     assert checked > 0
 
-    # count the simplex calls over the grid's feasible boxes, seeded and not
-    lps.clear()
-    feasible = []
+    # count the simplex calls over the grid's feasible boxes, seeded and
+    # not; each LP after a fit's first appends only sides that the solution
+    # before it breaks, never their mirrors
+    seeded, later, feasible = 0, 0, []
     for delta in cs.deltas:
         for g in grid:
+            lps.clear()
+            sols.clear()
             try:
                 fit_lpd(S, delta, float(g))
             except LpInfeasibleError:
                 continue
+            finally:
+                seeded += len(lps)
             feasible.append((delta, float(g)))
-    seeded = len(lps)
+            for (A, b), x in zip(lps[1:], sols):
+                assert np.all(A @ x > b)
+            later += len(lps) - 1
+    assert later > 0
     monkeypatch.setattr(solvers, "_proximal_gradient", _empty_seed)
     lps.clear()
     for delta, g in feasible:
